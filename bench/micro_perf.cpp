@@ -740,8 +740,8 @@ void print_simd_case(const char* name, std::size_t n, RepTimes scalar,
             << "}" << std::endl;
 }
 
-// The SIMD half of the `--graph` harness: the visibility mask, the
-// candidate compaction and the epoch rotation kernels against their
+// The SIMD half of the `--graph` harness: the visibility mask and the
+// epoch rotation kernels against their
 // retained scalar twins over an 8192-satellite SoA, bit-compared before
 // anything is timed. Single-threaded, so the ratios are honest on any
 // host; the >= 2x gate on the mask kernel assumes the vector backend is
@@ -808,44 +808,6 @@ int run_graph_simd_cases() {
         }
       });
       print_simd_case("simd.visible_mask", kSats, scalar, simd);
-    }
-  }
-  {  // filter_visible vs filter_visible_scalar (all-candidates compaction)
-    std::cout << "  case: filter_visible over " << kSats << " candidates\n";
-    std::vector<std::uint32_t> candidates(kSats);
-    for (std::size_t i = 0; i < kSats; ++i) {
-      candidates[i] = static_cast<std::uint32_t>(i);
-    }
-    std::vector<std::uint32_t> out(kSats), out_ref(kSats);
-    const std::size_t kept = orbit::filter_visible(
-        cell.x, cell.y, cell.z, ux.data(), uy.data(), uz.data(),
-        candidates.data(), kSats, cos_psi, out.data());
-    const std::size_t kept_ref = orbit::filter_visible_scalar(
-        cell.x, cell.y, cell.z, ux.data(), uy.data(), uz.data(),
-        candidates.data(), kSats, cos_psi, out_ref.data());
-    if (kept != kept_ref ||
-        std::memcmp(out.data(), out_ref.data(),
-                    kept * sizeof(std::uint32_t)) != 0) {
-      std::cerr << "FAIL: filter_visible disagrees with scalar twin\n";
-      rc = 1;
-    } else {
-      std::cout << "  outputs:  bit-identical to scalar (kept " << kept << "/"
-                << kSats << ")\n";
-      const RepTimes scalar = timed_reps_ms(5, [&] {
-        for (int it = 0; it < kIters; ++it) {
-          benchmark::DoNotOptimize(orbit::filter_visible_scalar(
-              cell.x, cell.y, cell.z, ux.data(), uy.data(), uz.data(),
-              candidates.data(), kSats, cos_psi, out_ref.data()));
-        }
-      });
-      const RepTimes simd = timed_reps_ms(5, [&] {
-        for (int it = 0; it < kIters; ++it) {
-          benchmark::DoNotOptimize(orbit::filter_visible(
-              cell.x, cell.y, cell.z, ux.data(), uy.data(), uz.data(),
-              candidates.data(), kSats, cos_psi, out.data()));
-        }
-      });
-      print_simd_case("simd.filter_visible", kSats, scalar, simd);
     }
   }
   {  // rotate_about_z vs rotate_about_z_scalar (out-of-place)

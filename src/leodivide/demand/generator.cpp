@@ -188,13 +188,21 @@ DemandProfile SyntheticGenerator::generate_profile(
   std::iota(count_order.begin(), count_order.end(), std::size_t{0});
   std::sort(count_order.begin(), count_order.end(),
             [&](std::size_t a, std::size_t b) { return counts[a] > counts[b]; });
+  // Two monotone cursors into the shuffle: every entry a cursor has passed
+  // is taken or (for the heavy cursor) below the latitude floor, and
+  // neither condition is ever undone, so each scan resumes where the last
+  // one stopped — O(region) in total, and the same picks as a rescan from
+  // the front.
   std::size_t scan = 0;
+  std::size_t heavy_scan = 0;
+  std::uint64_t heavy_scan_steps = 0;
   for (std::size_t ci : count_order) {
     const bool heavy = counts[ci] > kHeavyCellThreshold;
     std::size_t pick = region.size();
     if (heavy) {
-      for (std::size_t j = 0; j < order.size(); ++j) {
-        const std::size_t i = order[j];
+      for (; heavy_scan < order.size(); ++heavy_scan) {
+        ++heavy_scan_steps;
+        const std::size_t i = order[heavy_scan];
         if (taken[i]) continue;
         if (grid.center_of(region[i]).lat_deg >= config_.heavy_cell_min_lat_deg) {
           pick = i;
@@ -280,7 +288,10 @@ DemandProfile SyntheticGenerator::generate_profile(
   if (obs::metrics_enabled()) {
     static obs::Counter& generated =
         obs::registry().counter("demand.cells_generated");
+    static obs::Counter& scan_steps =
+        obs::registry().counter("demand.generate.scan_steps");
     generated.add(cells.size());
+    scan_steps.add(heavy_scan_steps);
   }
   return DemandProfile(std::move(cells), std::move(counties));
 }

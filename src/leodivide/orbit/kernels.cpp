@@ -72,54 +72,6 @@ constexpr MaskBytesTable<W> kMaskBytes{};
 // only discards statements inside a template.
 
 template <std::size_t W>
-std::size_t filter_visible_impl(double cx, double cy, double cz,
-                                const double* ux, const double* uy,
-                                const double* uz,
-                                const std::uint32_t* candidates,
-                                std::size_t n, double cos_psi,
-                                std::uint32_t* out) {
-  std::size_t kept = 0;
-  std::size_t i = 0;
-  if constexpr (W > 1) {
-    using L = simd::DoubleLanes<W>;
-    using V = typename L::V;
-    const V vcx = L::splat(cx);
-    const V vcy = L::splat(cy);
-    const V vcz = L::splat(cz);
-    const V vthresh = L::splat(cos_psi);
-    double gx[W];
-    double gy[W];
-    double gz[W];
-    for (; i + W <= n; i += W) {
-      // Scalar gathers into lane temps (candidate indices are arbitrary),
-      // then one vector dot + compare per W candidates.
-      for (std::size_t j = 0; j < W; ++j) {
-        const std::uint32_t si = candidates[i + j];
-        gx[j] = ux[si];
-        gy[j] = uy[si];
-        gz[j] = uz[si];
-      }
-      const V dot = vcx * L::load(gx) + vcy * L::load(gy) + vcz * L::load(gz);
-      unsigned bits = mask_bits<W>(dot >= vthresh);
-      // Fixed lane order: compact the lowest set bit first, so the survivor
-      // sequence is exactly the scalar ascending scan.
-      while (bits != 0) {
-        const unsigned j = static_cast<unsigned>(__builtin_ctz(bits));
-        out[kept++] = candidates[i + j];
-        bits &= bits - 1;
-      }
-    }
-  }
-  for (; i < n; ++i) {
-    const std::uint32_t si = candidates[i];
-    if (cx * ux[si] + cy * uy[si] + cz * uz[si] >= cos_psi) {
-      out[kept++] = candidates[i];
-    }
-  }
-  return kept;
-}
-
-template <std::size_t W>
 void visible_mask_impl(double cx, double cy, double cz, const double* ux,
                        const double* uy, const double* uz, std::size_t n,
                        double cos_psi, std::uint8_t* out_mask) {
@@ -186,14 +138,6 @@ const char* kernel_backend() noexcept {
   } else {
     return "scalar";
   }
-}
-
-std::size_t filter_visible(double cx, double cy, double cz, const double* ux,
-                           const double* uy, const double* uz,
-                           const std::uint32_t* candidates, std::size_t n,
-                           double cos_psi, std::uint32_t* out) {
-  return filter_visible_impl<kW>(cx, cy, cz, ux, uy, uz, candidates, n,
-                                 cos_psi, out);
 }
 
 void visible_mask(double cx, double cy, double cz, const double* ux,

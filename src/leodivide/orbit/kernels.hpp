@@ -1,7 +1,8 @@
 #pragma once
 // SIMD kernels for the two hottest inner loops of the pipeline: the
 // visibility cos-threshold test behind BeamScheduler (a cell sees a
-// satellite iff the dot of their unit radials is >= cos psi) and the batched
+// satellite iff the dot of their unit radials is >= cos psi), run over the
+// contiguous bucket-ordered spans of orbit::VisIndex, and the batched
 // Earth-rotation applied to every satellite per epoch in propagate_all.
 //
 // Every kernel has a `_scalar` twin that is the retained reference
@@ -28,25 +29,7 @@ namespace leodivide::orbit {
 /// Human-readable backend tag for bench labels, e.g. "vec4" or "scalar".
 [[nodiscard]] const char* kernel_backend() noexcept;
 
-/// Order-preserving visible-candidate compaction: writes to out[] every
-/// index si = candidates[i] (i ascending) whose satellite unit vector
-/// (ux[si], uy[si], uz[si]) satisfies cx*ux + cy*uy + cz*uz >= cos_psi, and
-/// returns how many were kept. `out` must have room for n entries and may
-/// not alias `candidates`. Bit-identical to filter_visible_scalar.
-std::size_t filter_visible(double cx, double cy, double cz, const double* ux,
-                           const double* uy, const double* uz,
-                           const std::uint32_t* candidates, std::size_t n,
-                           double cos_psi, std::uint32_t* out);
-
-/// Scalar reference for filter_visible (the pre-SIMD scheduler inner test).
-std::size_t filter_visible_scalar(double cx, double cy, double cz,
-                                  const double* ux, const double* uy,
-                                  const double* uz,
-                                  const std::uint32_t* candidates,
-                                  std::size_t n, double cos_psi,
-                                  std::uint32_t* out);
-
-/// Dense visibility mask over all n satellites in SoA layout:
+/// Dense visibility mask over n contiguous satellites in SoA layout:
 /// out_mask[i] = 1 iff cx*ux[i] + cy*uy[i] + cz*uz[i] >= cos_psi, else 0.
 /// Bit-identical to visible_mask_scalar.
 void visible_mask(double cx, double cy, double cz, const double* ux,

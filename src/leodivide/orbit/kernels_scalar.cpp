@@ -12,22 +12,6 @@
 
 namespace leodivide::orbit {
 
-std::size_t filter_visible_scalar(double cx, double cy, double cz,
-                                  const double* ux, const double* uy,
-                                  const double* uz,
-                                  const std::uint32_t* candidates,
-                                  std::size_t n, double cos_psi,
-                                  std::uint32_t* out) {
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t si = candidates[i];
-    if (cx * ux[si] + cy * uy[si] + cz * uz[si] >= cos_psi) {
-      out[kept++] = candidates[i];
-    }
-  }
-  return kept;
-}
-
 void visible_mask_scalar(double cx, double cy, double cz, const double* ux,
                          const double* uy, const double* uz, std::size_t n,
                          double cos_psi, std::uint8_t* out_mask) {

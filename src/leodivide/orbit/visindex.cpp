@@ -1,6 +1,7 @@
 #include "leodivide/orbit/visindex.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -46,6 +47,7 @@ void VisIndex::build(const std::vector<SatState>& sats, double psi_rad) {
     throw std::invalid_argument("VisIndex: coverage angle must be > 0");
   }
   n_sats_ = sats.size();
+  psi_rad_ = psi_rad;
   psi_deg_ = geo::rad2deg(psi_rad);
 
   n_bands_ = std::clamp(static_cast<std::uint32_t>(180.0 / psi_deg_), 1U,
@@ -90,12 +92,19 @@ void VisIndex::build(const std::vector<SatState>& sats, double psi_rad) {
     bucket_start_[b] += bucket_start_[b - 1];
   }
   bucket_sats_.resize(n_sats_);
+  unit_x_.resize(n_sats_);
+  unit_y_.resize(n_sats_);
+  unit_z_.resize(n_sats_);
   // bucket_start_ doubles as the write cursor (allocation-free): after the
   // fill, entry b holds bucket b's end, which is bucket b+1's start, so one
   // right-shift restores the offsets.
   for (std::size_t i = 0; i < n_sats_; ++i) {
-    bucket_sats_[bucket_start_[sat_bucket_[i]]++] =
-        static_cast<std::uint32_t>(i);
+    const std::uint32_t pos = bucket_start_[sat_bucket_[i]]++;
+    bucket_sats_[pos] = static_cast<std::uint32_t>(i);
+    const geo::Vec3 u = sats[i].ecef_km.unit();
+    unit_x_[pos] = u.x;
+    unit_y_[pos] = u.y;
+    unit_z_[pos] = u.z;
   }
   for (std::size_t b = bucket_start_.size() - 1; b > 0; --b) {
     bucket_start_[b] = bucket_start_[b - 1];
@@ -103,18 +112,19 @@ void VisIndex::build(const std::vector<SatState>& sats, double psi_rad) {
   bucket_start_[0] = 0;
 }
 
-void VisIndex::query(const geo::GeoPoint& cell,
-                     std::vector<std::uint32_t>& out) const {
-  query_unsorted(cell, out);
-  // Buckets partition the satellites, so the gather has no duplicates; the
-  // sort only restores global ascending order for callers that want it.
-  std::sort(out.begin(), out.end());
-}
-
-void VisIndex::query_unsorted(const geo::GeoPoint& cell,
-                              std::vector<std::uint32_t>& out) const {
-  out.clear();
-  if (n_sats_ == 0) return;
+void VisIndex::append_window(const geo::GeoPoint& cell,
+                             std::vector<BucketRun>& runs) const {
+  const std::size_t first = runs.size();
+  // Runs are emitted band by band in ascending bucket id, so a run that
+  // starts where the previous one ended extends it (full bands of a polar
+  // cap collapse into one run).
+  auto emit = [&runs, first](std::uint32_t begin, std::uint32_t end) {
+    if (runs.size() > first && runs.back().end == begin) {
+      runs.back().end = end;
+    } else {
+      runs.push_back(BucketRun{begin, end});
+    }
+  };
 
   const double window_deg = psi_deg_ + kWindowSlackDeg;
   const std::uint32_t b_lo = band_of(cell.lat_deg - window_deg);
@@ -145,16 +155,50 @@ void VisIndex::query_unsorted(const geo::GeoPoint& cell,
           sector_of(b, geo::wrap_longitude_deg(lon + dlon_deg));
       count = std::min(sectors, (s1 + sectors - s0) % sectors + 1);
     }
-    std::uint32_t s = s0;
-    for (std::uint32_t n = 0; n < count; ++n) {
-      const std::uint32_t bucket = base + s;
-      const std::uint32_t lo = bucket_start_[bucket];
-      const std::uint32_t hi = bucket_start_[bucket + 1];
-      out.insert(out.end(), bucket_sats_.begin() + lo,
-                 bucket_sats_.begin() + hi);
-      s = s + 1 == sectors ? 0 : s + 1;
+    // Sectors s0 .. s0+count-1 modulo the band; a window past the band's
+    // last sector (the date line) wraps to its first, giving two runs.
+    if (s0 + count <= sectors) {
+      emit(base + s0, base + s0 + count);
+    } else {
+      emit(base, base + (s0 + count - sectors));
+      emit(base + s0, base + sectors);
     }
   }
+}
+
+void VisIndex::build_windows(std::span<const geo::GeoPoint> cells,
+                             CellWindows& out) const {
+  out.psi_rad_ = psi_rad_;
+  out.offsets_.clear();
+  out.runs_.clear();
+  out.offsets_.reserve(cells.size() + 1);
+  out.offsets_.push_back(0);
+  for (const geo::GeoPoint& cell : cells) {
+    append_window(cell, out.runs_);
+    out.offsets_.push_back(static_cast<std::uint32_t>(out.runs_.size()));
+  }
+}
+
+bool VisIndex::windows_match(const CellWindows& windows) const noexcept {
+  // The grid is a pure function of psi, so equal bits mean equal buckets.
+  return std::bit_cast<std::uint64_t>(windows.psi_rad_) ==
+         std::bit_cast<std::uint64_t>(psi_rad_);
+}
+
+void VisIndex::query(const geo::GeoPoint& cell,
+                     std::vector<std::uint32_t>& out) const {
+  out.clear();
+  if (n_sats_ == 0) return;
+  std::vector<BucketRun> runs;
+  append_window(cell, runs);
+  for (const BucketRun& run : runs) {
+    const SatSpan span = span_of(run);
+    out.insert(out.end(), bucket_sats_.begin() + span.begin,
+               bucket_sats_.begin() + span.end);
+  }
+  // Buckets partition the satellites, so the gather has no duplicates; the
+  // sort restores global ascending order.
+  std::sort(out.begin(), out.end());
 }
 
 }  // namespace leodivide::orbit

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 
@@ -43,11 +45,54 @@ double first_radius_km(const std::vector<orbit::SatState>& sats) {
                       : sats.front().ecef_km.norm();
 }
 
+// Satellites per visible_mask call: the mask lives on the stack, and a
+// window's runs are a few dozen satellites, so one block almost always
+// covers a whole run.
+constexpr std::uint32_t kMaskBlock = 256;
+
 }  // namespace
+
+// Cell windows per coverage angle, shared by every copy of a scheduler and
+// every thread scheduling with it. A shell's radius varies in its last bits
+// from epoch to epoch, so a run meets a handful of angles; the cache keeps
+// the most recent few, and a hit costs one uncontended lock.
+class BeamScheduler::WindowCache {
+ public:
+  std::shared_ptr<const orbit::CellWindows> get(
+      const orbit::VisIndex& index, const std::vector<SchedCell>& cells,
+      const std::vector<std::uint32_t>& order) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& entry : entries_) {
+      if (index.windows_match(*entry)) return entry;
+    }
+    // Windows in processing order, so the scheduling loop reads them
+    // front to back.
+    std::vector<geo::GeoPoint> centres;
+    centres.reserve(order.size());
+    for (const std::uint32_t ci : order) centres.push_back(cells[ci].center);
+    auto built = std::make_shared<orbit::CellWindows>();
+    index.build_windows(centres, *built);
+    if (obs::metrics_enabled()) {
+      static obs::Counter& builds =
+          obs::registry().counter("sim.sched.window_builds");
+      builds.add(1);
+    }
+    if (entries_.size() == kMaxEntries) entries_.erase(entries_.begin());
+    entries_.push_back(std::move(built));
+    return entries_.back();
+  }
+
+ private:
+  static constexpr std::size_t kMaxEntries = 8;
+  std::mutex mu_;
+  std::vector<std::shared_ptr<const orbit::CellWindows>> entries_;
+};
 
 BeamScheduler::BeamScheduler(std::vector<SchedCell> cells,
                              SchedulerConfig config)
-    : cells_(std::move(cells)), config_(config) {
+    : cells_(std::move(cells)),
+      config_(config),
+      windows_(std::make_shared<WindowCache>()) {
   if (config_.beams_per_satellite == 0 || config_.beamspread == 0) {
     throw std::invalid_argument("BeamScheduler: zero beams or beamspread");
   }
@@ -110,24 +155,23 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
       sats.size(), BeamBudget(config_.beams_per_satellite, config_.beamspread));
   ws.sat_touched.assign(sats.size(), 0);
 
-  // SoA unit vectors of the satellite positions for the cheap visibility
-  // test: cell "sees" sat iff the central angle between their radials is
-  // <= psi, i.e. the unit dot is >= cos(psi).
-  ws.unit_x.resize(sats.size());
-  ws.unit_y.resize(sats.size());
-  ws.unit_z.resize(sats.size());
-  ws.visible.resize(sats.size());
-  for (std::size_t si = 0; si < sats.size(); ++si) {
-    const geo::Vec3 u = sats[si].ecef_km.unit();
-    ws.unit_x[si] = u.x;
-    ws.unit_y[si] = u.y;
-    ws.unit_z[si] = u.z;
+  // The index stores each epoch's satellite unit radials in bucket order;
+  // the cell windows (runs of buckets per cell, in processing order) are
+  // shared by every epoch and thread at this coverage angle.
+  std::shared_ptr<const orbit::CellWindows> windows;
+  if (!sats.empty()) {
+    ws.index.build(sats, ws.geometry.psi_rad);
+    windows = windows_->get(ws.index, cells_, order_);
   }
-
-  if (!sats.empty()) ws.index.build(sats, ws.geometry.psi_rad);
+  const std::uint32_t* ids = ws.index.sat_ids();
+  const double* ux = ws.index.unit_x();
+  const double* uy = ws.index.unit_y();
+  const double* uz = ws.index.unit_z();
 
   std::uint64_t candidates_scanned = 0;
-  for (std::uint32_t ci : order_) {
+  std::uint8_t mask[kMaskBlock];
+  for (std::size_t k = 0; k < order_.size(); ++k) {
+    const std::uint32_t ci = order_[k];
     const SchedCell& cell = cells_[ci];
     result.locations_total += cell.locations;
     if (sats.empty()) {
@@ -135,54 +179,56 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
       continue;
     }
     const geo::Vec3& cell_unit = cell_units_[ci];
-    ws.index.query_unsorted(cell.center, ws.candidates);
-    candidates_scanned += ws.candidates.size();
-
-    // SIMD exact-visibility compaction: keep the candidates whose unit dot
-    // with the cell radial passes cos_psi, in candidate order. The kernel
-    // is bit-identical to the scalar test it replaced (tests/test_simd.cpp)
-    // so the survivor sequence — and therefore the schedule — is unchanged.
-    const std::size_t n_visible = orbit::filter_visible(
-        cell_unit.x, cell_unit.y, cell_unit.z, ws.unit_x.data(),
-        ws.unit_y.data(), ws.unit_z.data(), ws.candidates.data(),
-        ws.candidates.size(), cos_psi, ws.visible.data());
 
     // Selection is order-independent: the naive ascending scan with strict
     // improvement picks the lowest-indexed feasible satellite attaining
     // the best slack (max for kMostSlack, min for kBestFit, any for
-    // kFirstFit), so scanning the unsorted candidate set with an explicit
-    // index tie-break chooses the identical satellite — byte-identical
-    // schedules without sorting candidates per cell (pinned by the
-    // equivalence suite).
+    // kFirstFit), so scanning the window's runs in bucket order with an
+    // explicit index tie-break chooses the identical satellite —
+    // byte-identical schedules (pinned by the equivalence suite).
     std::int64_t best_sat = -1;
     std::uint32_t best_slack = 0;
-    for (std::size_t vi = 0; vi < n_visible; ++vi) {
-      const std::uint32_t si = ws.visible[vi];
-      const std::uint32_t slack = ws.budgets[si].slack();
-      if (slack == 0) continue;
-      // Whole-beam cells need enough free whole beams.
-      if (cell.beams_needed >= 2 &&
-          ws.budgets[si].beams_free() < cell.beams_needed) {
-        continue;
-      }
-      const auto sat = static_cast<std::int64_t>(si);
-      bool take = best_sat < 0;
-      switch (config_.strategy) {
-        case Strategy::kMostSlack:
-          take = take || slack > best_slack ||
-                 (slack == best_slack && sat < best_sat);
-          break;
-        case Strategy::kBestFit:
-          take = take || slack < best_slack ||
-                 (slack == best_slack && sat < best_sat);
-          break;
-        case Strategy::kFirstFit:
-          take = take || sat < best_sat;
-          break;
-      }
-      if (take) {
-        best_sat = sat;
-        best_slack = slack;
+    for (const orbit::BucketRun& run : windows->runs(k)) {
+      const orbit::SatSpan sats_span = ws.index.span_of(run);
+      candidates_scanned += sats_span.end - sats_span.begin;
+      for (std::uint32_t lo = sats_span.begin; lo < sats_span.end;
+           lo += kMaskBlock) {
+        const std::uint32_t n = std::min(kMaskBlock, sats_span.end - lo);
+        // Exact visibility over a contiguous span: the unit dot with the
+        // cell radial passes cos_psi. The kernel is bit-identical to the
+        // scalar test (tests/test_simd.cpp).
+        orbit::visible_mask(cell_unit.x, cell_unit.y, cell_unit.z, ux + lo,
+                            uy + lo, uz + lo, n, cos_psi, mask);
+        for (std::uint32_t j = 0; j < n; ++j) {
+          if (mask[j] == 0) continue;
+          const std::uint32_t si = ids[lo + j];
+          const std::uint32_t slack = ws.budgets[si].slack();
+          if (slack == 0) continue;
+          // Whole-beam cells need enough free whole beams.
+          if (cell.beams_needed >= 2 &&
+              ws.budgets[si].beams_free() < cell.beams_needed) {
+            continue;
+          }
+          const auto sat = static_cast<std::int64_t>(si);
+          bool take = best_sat < 0;
+          switch (config_.strategy) {
+            case Strategy::kMostSlack:
+              take = take || slack > best_slack ||
+                     (slack == best_slack && sat < best_sat);
+              break;
+            case Strategy::kBestFit:
+              take = take || slack < best_slack ||
+                     (slack == best_slack && sat < best_sat);
+              break;
+            case Strategy::kFirstFit:
+              take = take || sat < best_sat;
+              break;
+          }
+          if (take) {
+            best_sat = sat;
+            best_slack = slack;
+          }
+        }
       }
     }
     if (best_sat < 0) {

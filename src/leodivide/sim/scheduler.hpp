@@ -5,6 +5,7 @@
 // ablation bench compares the two.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "leodivide/core/capacity_model.hpp"
@@ -69,15 +70,18 @@ class BeamScheduler {
   /// descending beam need then descending demand; each picks among the
   /// visible satellites per the configured strategy. Internally the cell →
   /// satellite search runs through a per-epoch spatial index
-  /// (orbit::VisIndex), pruning the candidate set from O(sats) to O(k)
-  /// per cell; the result is byte-identical to schedule_reference.
+  /// (orbit::VisIndex): each cell scans the contiguous bucket runs of its
+  /// window, O(k) satellites instead of O(sats). The windows are built
+  /// once per coverage angle and shared by every copy of this scheduler
+  /// and every thread; the result is byte-identical to
+  /// schedule_reference.
   [[nodiscard]] ScheduleResult schedule(
       const std::vector<orbit::SatState>& sats) const;
 
   /// As above, reusing `workspace` scratch and `out`'s vector capacity:
   /// repeated epochs over a constellation of fixed size perform zero heap
-  /// allocations once the buffers have warmed up. `workspace` must not be
-  /// shared between threads.
+  /// allocations once the buffers and the windows have warmed up.
+  /// `workspace` must not be shared between threads; the scheduler may be.
   void schedule(const std::vector<orbit::SatState>& sats,
                 ScheduleWorkspace& workspace, ScheduleResult& out) const;
 
@@ -102,10 +106,13 @@ class BeamScheduler {
       const core::SatelliteCapacityModel& model, double oversub);
 
  private:
+  class WindowCache;
+
   std::vector<SchedCell> cells_;
   SchedulerConfig config_;
   std::vector<std::uint32_t> order_;      ///< processing order, precomputed
   std::vector<geo::Vec3> cell_units_;     ///< unit radials, precomputed
+  std::shared_ptr<WindowCache> windows_;  ///< cell windows per coverage angle
 };
 
 }  // namespace leodivide::sim

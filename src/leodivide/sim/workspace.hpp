@@ -2,9 +2,9 @@
 // Reusable per-executor-thread scratch for the epoch scheduling loop. One
 // workspace per worker (the simulation driver creates one per parallel_for
 // chunk) lets every epoch after the first reuse the satellite budgets,
-// touched flags, candidate lists, SoA unit-vector components and the
-// spatial index storage — the steady-state epoch loop performs zero heap
-// allocations (pinned by tests/test_sim_equivalence.cpp).
+// touched flags, propagation target and the spatial index storage (which
+// holds the bucket-ordered SoA unit vectors) — the steady-state epoch loop
+// performs zero heap allocations (pinned by tests/test_sim_equivalence.cpp).
 
 #include <cstdint>
 #include <vector>
@@ -39,11 +39,6 @@ struct ScheduleWorkspace {
 
   std::vector<BeamBudget> budgets;        ///< per-satellite beam budgets
   std::vector<std::uint8_t> sat_touched;  ///< per-satellite "saw demand"
-  std::vector<double> unit_x;             ///< SoA satellite unit vectors
-  std::vector<double> unit_y;
-  std::vector<double> unit_z;
-  std::vector<std::uint32_t> candidates;  ///< per-cell index query output
-  std::vector<std::uint32_t> visible;     ///< SIMD-compacted visible subset
   std::vector<orbit::SatState> states;    ///< propagate_all target
   std::vector<std::uint32_t> sat_dedup;   ///< summarize_epoch scratch
 };

@@ -11,6 +11,9 @@
 #include "leodivide/demand/calibration.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/geo/us_outline.hpp"
+#include "leodivide/hex/polyfill.hpp"
+#include "leodivide/obs/gate.hpp"
+#include "leodivide/obs/metrics.hpp"
 #include "leodivide/stats/percentile.hpp"
 #include "leodivide/stats/rng.hpp"
 
@@ -238,6 +241,31 @@ TEST(Generator, HeavyCellsRespectLatitudeFloor) {
           << "cell with " << c.underserved << " locations";
     }
   }
+}
+
+TEST(Generator, HeavyCellScanIsLinearInRegion) {
+  // Heavy cells are placed by a scan over the region shuffle that resumes
+  // where the previous heavy cell's scan stopped, so its steps are bounded
+  // by the region size plus one pick per heavy cell. A scan restarting
+  // from the front for every heavy cell is quadratic and fails this bound
+  // on the national profile on any host.
+  const GeneratorConfig config;
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Counter& steps = obs::registry().counter("demand.generate.scan_steps");
+  const std::uint64_t before = steps.total();
+  const DemandProfile profile = SyntheticGenerator(config).generate_profile();
+  const std::uint64_t used = steps.total() - before;
+  obs::set_metrics_enabled(was_enabled);
+
+  const auto region = hex::polyfill(hex::HexGrid(), geo::conus_outline(),
+                                    config.resolution);
+  std::size_t heavy = 0;  // planted peaks included: an upper bound
+  for (const auto& c : profile.cells()) {
+    if (c.underserved > 650) ++heavy;
+  }
+  EXPECT_GT(used, 0U);
+  EXPECT_LE(used, region.size() + heavy);
 }
 
 TEST(Generator, PlantedBindingCellsSitAtCalibratedLatitudes) {

@@ -729,6 +729,58 @@ TEST(VisIndex, RebuildReusesStorageAcrossEpochs) {
   }
 }
 
+TEST(VisIndex, WindowRunsSpanExactlyTheQuerySet) {
+  // build_windows and query share one window routine: the satellites in a
+  // cell's contiguous runs are exactly query()'s candidates, each run is
+  // non-empty and the runs are disjoint — at most two per lat band.
+  stats::Pcg32 rng(314);
+  const auto states = shell_states({53.0, 550.0, 22, 22, 17}, 611.0);
+  VisIndex index;
+  index.build(states, 0.15);
+  std::vector<geo::GeoPoint> cells;
+  for (int i = 0; i < 400; ++i) {
+    cells.push_back({-90.0 + rng.next_double() * 180.0,
+                     -180.0 + rng.next_double() * 360.0});
+  }
+  for (const geo::GeoPoint p :
+       {geo::GeoPoint{90.0, 0.0}, geo::GeoPoint{-90.0, 10.0},
+        geo::GeoPoint{0.0, 180.0}, geo::GeoPoint{0.0, -180.0},
+        geo::GeoPoint{45.0, 179.99}, geo::GeoPoint{-45.0, -179.99}}) {
+    cells.push_back(p);
+  }
+  CellWindows windows;
+  index.build_windows(cells, windows);
+  ASSERT_EQ(windows.cell_count(), cells.size());
+  EXPECT_TRUE(index.windows_match(windows));
+  std::vector<std::uint32_t> expected, scanned;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    index.query(cells[c], expected);
+    scanned.clear();
+    const auto runs = windows.runs(c);
+    EXPECT_LE(runs.size(), 2U * index.band_count());
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      EXPECT_LT(runs[r].begin, runs[r].end);
+      if (r > 0) EXPECT_NE(runs[r - 1].end, runs[r].begin) << "unmerged";
+      const SatSpan span = index.span_of(runs[r]);
+      for (std::uint32_t pos = span.begin; pos < span.end; ++pos) {
+        const std::uint32_t si = index.sat_ids()[pos];
+        scanned.push_back(si);
+        // The bucket-ordered unit radials belong to the satellite id.
+        const geo::Vec3 u = states[si].ecef_km.unit();
+        EXPECT_EQ(index.unit_x()[pos], u.x);
+        EXPECT_EQ(index.unit_y()[pos], u.y);
+        EXPECT_EQ(index.unit_z()[pos], u.z);
+      }
+    }
+    std::sort(scanned.begin(), scanned.end());
+    EXPECT_EQ(scanned, expected) << cells[c].lat_deg << "," << cells[c].lon_deg;
+  }
+
+  VisIndex other;
+  other.build(states, 0.2);
+  EXPECT_FALSE(other.windows_match(windows));
+}
+
 TEST(PropagateBatch, OutParamOverloadMatchesReturningOverload) {
   const auto orbits = make_constellation(WalkerShell{53.0, 550.0, 8, 6, 1});
   std::vector<SatState> reused;

@@ -1,10 +1,12 @@
 // Golden equivalence suite for the spatially-indexed scheduling kernel:
 // BeamScheduler::schedule (VisIndex-pruned) must produce byte-identical
 // ScheduleResults to schedule_reference (the retained naive full scan) on
-// every strategy, constellation and cell geometry — including polar caps
-// and the date line — and the simulation trace must be identical at every
-// thread count. Also pins the zero-allocation contract of the steady-state
-// epoch loop via a counting global operator new.
+// every strategy, constellation and cell geometry — including polar caps,
+// the date line and the full national cell list — also when one workspace
+// moves between schedulers, elevation masks and constellations, and the
+// simulation trace must be identical at every thread count. Also pins the
+// zero-allocation contract of the steady-state epoch loop via a counting
+// global operator new.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,8 @@
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/geo/angle.hpp"
 #include "leodivide/geo/ecef.hpp"
+#include "leodivide/obs/gate.hpp"
+#include "leodivide/obs/metrics.hpp"
 #include "leodivide/orbit/propagate.hpp"
 #include "leodivide/orbit/visindex.hpp"
 #include "leodivide/orbit/walker.hpp"
@@ -189,6 +193,91 @@ TEST(IndexedEquivalence, DateLineCellsMatchReference) {
   }
 }
 
+TEST(IndexedEquivalence, NationalScaleWithPolarAndDateLineCellsMatchesReference) {
+  // The full national cell list (every window shape the contiguous scan
+  // meets in a real run) plus pole and antimeridian cells, over shell 1
+  // joined by a polar shell at the same altitude so the polar cells see
+  // satellites too.
+  const auto profile =
+      demand::SyntheticGenerator(demand::GeneratorConfig{}).generate_profile();
+  auto cells = BeamScheduler::cells_from_profile(
+      profile, core::SatelliteCapacityModel(), 20.0);
+  stats::Pcg32 rng(1809);
+  auto add_cell = [&cells, &rng](double lat, double lon) {
+    SchedCell c;
+    c.center = {lat, lon};
+    c.ecef_km = geo::spherical_to_cartesian(c.center, geo::kEarthRadiusKm);
+    c.locations = 1 + static_cast<std::uint32_t>(rng.next_below(800));
+    c.beams_needed = 1 + static_cast<std::uint32_t>(rng.next_below(3));
+    cells.push_back(c);
+  };
+  for (double lat : {90.0, 89.9, 87.0, 80.0, -80.0, -87.0, -89.9, -90.0}) {
+    for (double lon : {-180.0, -90.0, 0.0, 45.0, 180.0}) add_cell(lat, lon);
+  }
+  for (double lon : {180.0, 179.99, 179.5, -179.5, -179.99, -180.0}) {
+    for (double lat : {-52.0, -20.0, 0.0, 33.0, 53.0}) add_cell(lat, lon);
+  }
+  auto states = orbit::propagate_all(
+      orbit::make_constellation(orbit::starlink_shell1()), 905.0);
+  const auto polar = orbit::propagate_all(
+      orbit::make_constellation({97.6, 550.0, 12, 20, 1}), 905.0);
+  states.insert(states.end(), polar.begin(), polar.end());
+  for (const Strategy strategy : kAllStrategies) {
+    SchedulerConfig config;
+    config.strategy = strategy;
+    expect_equivalent(BeamScheduler(cells, config), states);
+  }
+}
+
+TEST(IndexedEquivalence, WorkspaceReusedAcrossSchedulersMasksAndSizes) {
+  // One workspace carried from scheduler to scheduler. A window depends on
+  // the cell list and the coverage angle psi (set by the elevation mask and
+  // the shell altitude), never on the satellites, so a new scheduler, mask
+  // or altitude must build new windows while a same-altitude change of
+  // constellation size reuses them — and every schedule must equal the
+  // naive reference.
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Counter& builds = obs::registry().counter("sim.sched.window_builds");
+  stats::Pcg32 rng(4242);
+  const auto cells_a = random_cells(rng, 300, -60.0, 60.0);
+  const auto cells_b = random_cells(rng, 200, 20.0, 85.0);
+  SchedulerConfig mask25;
+  mask25.min_elevation_deg = 25.0;
+  SchedulerConfig mask40;
+  mask40.min_elevation_deg = 40.0;
+  const BeamScheduler a25(cells_a, mask25);
+  const BeamScheduler b25(cells_b, mask25);
+  const BeamScheduler a40(cells_a, mask40);
+
+  const auto shell1 = orbit::propagate_all(
+      orbit::make_constellation(orbit::starlink_shell1()), 600.0);
+  const std::vector<orbit::SatState> half(
+      shell1.begin(), shell1.begin() + static_cast<std::ptrdiff_t>(
+                                           shell1.size() / 2));
+  const auto higher = orbit::propagate_all(
+      orbit::make_constellation({70.0, 800.0, 10, 9, 3}), 900.0);
+
+  ScheduleWorkspace ws;
+  ScheduleResult out;
+  auto builds_for = [&](const BeamScheduler& scheduler,
+                        const std::vector<orbit::SatState>& states) {
+    const std::uint64_t before = builds.total();
+    scheduler.schedule(states, ws, out);
+    EXPECT_TRUE(out == scheduler.schedule_reference(states));
+    return builds.total() - before;
+  };
+  EXPECT_EQ(builds_for(a25, shell1), 1U) << "first scheduler";
+  EXPECT_EQ(builds_for(b25, shell1), 1U) << "second scheduler";
+  EXPECT_EQ(builds_for(a25, shell1), 0U) << "first scheduler again";
+  EXPECT_EQ(builds_for(a40, shell1), 1U) << "higher elevation mask";
+  EXPECT_EQ(builds_for(a25, half), 0U) << "half the constellation";
+  EXPECT_EQ(builds_for(a25, higher), 1U) << "smaller, higher shell";
+  EXPECT_EQ(builds_for(a25, shell1), 0U) << "back to shell 1";
+  EXPECT_EQ(builds_for(a40, higher), 1U) << "higher shell, higher mask";
+  obs::set_metrics_enabled(was_enabled);
+}
+
 TEST(IndexedEquivalence, NoSatellitesAndNoCells) {
   stats::Pcg32 rng(3);
   auto cells = random_cells(rng, 5, -60.0, 60.0);
@@ -273,6 +362,35 @@ TEST(TraceInvariance, IdenticalAcrossThreadCountsAndEqualToReference) {
                 summarize_epoch(ref, scheduler.cells().size(), t))
         << "epoch " << e;
   }
+}
+
+// ------------------------------------------------------ window builds ----
+
+TEST(Workspace, WindowsAreBuiltPerCoverageAngleNotPerEpoch) {
+  // A shell's radius varies in its last bits between epochs, so a run
+  // meets a few coverage angles; windows are built once for each and shared
+  // by every chunk, and a second run of the same simulation builds none.
+  SimulationConfig config;
+  config.duration_s = 1800.0;
+  config.step_s = 15.0;
+  const auto profile = demand::SyntheticGenerator({.seed = 17, .scale = 0.01})
+                           .generate_profile();
+  const Simulation sim(config, profile);
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Counter& builds = obs::registry().counter("sim.sched.window_builds");
+  runtime::ThreadPool pool(4);
+  const std::uint64_t before = builds.total();
+  const auto first = sim.run(pool);
+  const std::uint64_t first_builds = builds.total() - before;
+  const auto second = sim.run(pool);
+  const std::uint64_t second_builds = builds.total() - before - first_builds;
+  obs::set_metrics_enabled(was_enabled);
+  EXPECT_TRUE(first == second);
+  ASSERT_EQ(first.size(), 121U);
+  EXPECT_GE(first_builds, 1U);
+  EXPECT_LE(first_builds, 4U);
+  EXPECT_EQ(second_builds, 0U);
 }
 
 // ------------------------------------------------------- zero allocation ----

@@ -4,8 +4,8 @@
 // elevations that land exactly on the cos threshold, NaN lanes, and every
 // tail-lane remainder around the compiled lane width. Also pins the
 // consumers: propagate_all (batched rotation) against per-satellite
-// ecef_position, and the scheduler's SIMD visibility filter against the
-// naive reference on threshold geometries.
+// ecef_position, and the scheduler's contiguous-span visibility scan
+// against the naive reference on threshold geometries.
 
 #include <gtest/gtest.h>
 
@@ -26,14 +26,12 @@
 namespace leodivide {
 namespace {
 
-// SoA satellite unit-vector set plus a cell direction, the exact operand
-// shape of the visibility kernels.
+// SoA satellite unit-vector set, the exact operand shape of the visibility
+// kernel.
 struct SoaDirs {
   std::vector<double> ux, uy, uz;
-  std::vector<std::uint32_t> candidates;
 
   void push(const geo::Vec3& u) {
-    candidates.push_back(static_cast<std::uint32_t>(ux.size()));
     ux.push_back(u.x);
     uy.push_back(u.y);
     uz.push_back(u.z);
@@ -51,21 +49,8 @@ SoaDirs random_dirs(stats::Pcg32& rng, std::size_t n) {
   return d;
 }
 
-void expect_filter_matches_scalar(const SoaDirs& d, const geo::Vec3& cell,
-                                  double cos_psi) {
-  std::vector<std::uint32_t> simd_out(d.size() + 1, 0xdeadbeef);
-  std::vector<std::uint32_t> scalar_out(d.size() + 1, 0xdeadbeef);
-  const std::size_t simd_n = orbit::filter_visible(
-      cell.x, cell.y, cell.z, d.ux.data(), d.uy.data(), d.uz.data(),
-      d.candidates.data(), d.size(), cos_psi, simd_out.data());
-  const std::size_t scalar_n = orbit::filter_visible_scalar(
-      cell.x, cell.y, cell.z, d.ux.data(), d.uy.data(), d.uz.data(),
-      d.candidates.data(), d.size(), cos_psi, scalar_out.data());
-  ASSERT_EQ(simd_n, scalar_n);
-  for (std::size_t i = 0; i < simd_n; ++i) {
-    EXPECT_EQ(simd_out[i], scalar_out[i]) << "kept index " << i;
-  }
-
+void expect_mask_matches_scalar(const SoaDirs& d, const geo::Vec3& cell,
+                                double cos_psi) {
   std::vector<std::uint8_t> simd_mask(d.size() + 1, 0xcc);
   std::vector<std::uint8_t> scalar_mask(d.size() + 1, 0xcc);
   orbit::visible_mask(cell.x, cell.y, cell.z, d.ux.data(), d.uy.data(),
@@ -89,7 +74,7 @@ TEST(SimdKernels, BackendIsCoherent) {
   if (lanes == 1) EXPECT_STREQ(orbit::kernel_backend(), "scalar");
 }
 
-TEST(SimdKernels, FilterMatchesScalarOnEveryTailLength) {
+TEST(SimdKernels, MaskMatchesScalarOnEveryTailLength) {
   stats::Pcg32 rng(0x51D5u);
   const geo::Vec3 cell =
       geo::spherical_to_cartesian(geo::GeoPoint{40.0, -100.0}, 1.0);
@@ -97,11 +82,11 @@ TEST(SimdKernels, FilterMatchesScalarOnEveryTailLength) {
   // over, plus larger sizes: n = 0..33, 63..65, 255..257.
   for (std::size_t n = 0; n <= 33; ++n) {
     const SoaDirs d = random_dirs(rng, n);
-    expect_filter_matches_scalar(d, cell, 0.9);
+    expect_mask_matches_scalar(d, cell, 0.9);
   }
   for (const std::size_t n : {63U, 64U, 65U, 255U, 256U, 257U}) {
     const SoaDirs d = random_dirs(rng, n);
-    expect_filter_matches_scalar(d, cell, 0.95);
+    expect_mask_matches_scalar(d, cell, 0.95);
   }
 }
 
@@ -118,15 +103,14 @@ TEST(SimdKernels, GrazingExactlyAtThresholdIsKept) {
   d.push({cos_psi, 0.0, 0.0});  // tail-lane repeat of the exact case
   const geo::Vec3 cell{1.0, 0.0, 0.0};
 
-  std::vector<std::uint32_t> out(d.size(), 0);
-  const std::size_t kept = orbit::filter_visible(
-      cell.x, cell.y, cell.z, d.ux.data(), d.uy.data(), d.uz.data(),
-      d.candidates.data(), d.size(), cos_psi, out.data());
-  ASSERT_EQ(kept, 3U);
-  EXPECT_EQ(out[0], 0U);
-  EXPECT_EQ(out[1], 2U);
-  EXPECT_EQ(out[2], 3U);
-  expect_filter_matches_scalar(d, cell, cos_psi);
+  std::vector<std::uint8_t> mask(d.size(), 9);
+  orbit::visible_mask(cell.x, cell.y, cell.z, d.ux.data(), d.uy.data(),
+                      d.uz.data(), d.size(), cos_psi, mask.data());
+  EXPECT_EQ(mask[0], 1);
+  EXPECT_EQ(mask[1], 0);
+  EXPECT_EQ(mask[2], 1);
+  EXPECT_EQ(mask[3], 1);
+  expect_mask_matches_scalar(d, cell, cos_psi);
 }
 
 TEST(SimdKernels, PolarAndDateLineDirections) {
@@ -149,7 +133,7 @@ TEST(SimdKernels, PolarAndDateLineDirections) {
         geo::GeoPoint{0.0, 180.0}, geo::GeoPoint{0.0, 0.0}}) {
     const geo::Vec3 cell = geo::spherical_to_cartesian(cell_pt, 1.0);
     for (const double cos_psi : {-1.0, 0.0, 0.5, 0.99, 1.0}) {
-      expect_filter_matches_scalar(d, cell, cos_psi);
+      expect_mask_matches_scalar(d, cell, cos_psi);
     }
   }
 }
@@ -163,7 +147,7 @@ TEST(SimdKernels, NanLanesBehaveLikeScalar) {
   d.push({0.0, nan, nan});
   d.push({1.0, 0.0, 0.0});
   d.push({nan, nan, nan});
-  expect_filter_matches_scalar(d, {1.0, 0.0, 0.0}, 0.5);
+  expect_mask_matches_scalar(d, {1.0, 0.0, 0.0}, 0.5);
   std::vector<std::uint8_t> mask(d.size(), 9);
   orbit::visible_mask(1.0, 0.0, 0.0, d.ux.data(), d.uy.data(), d.uz.data(),
                       d.size(), 0.5, mask.data());
@@ -239,7 +223,8 @@ TEST(SimdKernels, PropagateAllMatchesPerSatelliteScalar) {
   }
 }
 
-// End-to-end: the scheduler's SIMD filter_visible path must keep schedule
+// End-to-end: the scheduler's contiguous path — visible_mask over each
+// window's bucket-ordered satellite spans — must keep schedules
 // byte-identical to schedule_reference on geometries built to graze the
 // elevation mask (satellites right at the visibility cone's edge).
 TEST(SimdKernels, SchedulerBitIdenticalOnGrazingGeometry) {
