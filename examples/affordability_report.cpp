@@ -2,39 +2,51 @@
 // income distribution, with and without the Lifeline subsidy, at a
 // configurable affordability threshold.
 //
-//   $ ./affordability_report [monthly_usd] [threshold]
+//   $ ./affordability_report [--trace FILE] [--metrics[=FILE]]
+//                            [monthly_usd] [threshold]
 //
 // Defaults: $120/month (Starlink Residential), 2% of monthly income (the
-// A4AI / UN Broadband Commission "1 for 2" rule).
+// A4AI / UN Broadband Commission "1 for 2" rule). `--trace`/`--metrics`
+// work as in national_analysis (README.md, "Observability").
 
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "leodivide/afford/affordability.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/io/table.hpp"
+#include "leodivide/obs/obs.hpp"
 
 int main(int argc, char** argv) {
   using namespace leodivide;
 
-  // Positional args only: a stray --flag would otherwise parse as $0.00.
+  // Besides the observability flags, positional args only: a stray --flag
+  // would otherwise parse as $0.00.
+  obs::Options obs_options = obs::options_from_env();
+  std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
+    if (obs::parse_cli_arg(obs_options, argc, argv, i)) continue;
     if (std::string(argv[i]).rfind("--", 0) == 0) {
       std::cerr << "unknown flag: " << argv[i]
-                << "\nusage: affordability_report [monthly_usd] "
-                   "[threshold]\n";
+                << "\nusage: affordability_report [--trace FILE]"
+                   " [--metrics[=FILE]] [monthly_usd] [threshold]\n";
       return 2;
     }
+    positional.emplace_back(argv[i]);
   }
 
-  const double monthly = argc > 1 ? std::atof(argv[1]) : 120.0;
-  const double threshold = argc > 2 ? std::atof(argv[2]) : 0.02;
+  const double monthly =
+      positional.size() > 0 ? std::atof(positional[0].c_str()) : 120.0;
+  const double threshold =
+      positional.size() > 1 ? std::atof(positional[1].c_str()) : 0.02;
   if (monthly < 0.0 || threshold <= 0.0) {
     std::cerr << "usage: affordability_report [monthly_usd] [threshold]\n";
     return 1;
   }
+  obs::apply(obs_options);
 
   std::cout << "generating national demand profile...\n\n";
   const demand::DemandProfile profile =
@@ -80,5 +92,6 @@ int main(int argc, char** argv) {
   std::cout << "For 99.9% of un(der)served locations to afford service at "
                "this rule, the monthly price must not exceed $"
             << io::fmt(p999, 2) << ".\n";
+  obs::finalize(obs_options);
   return 0;
 }

@@ -9,6 +9,9 @@
 //   $ ./analysis_client --batch --script FILE --out FILE
 //                       [--scale S] [--seed N] [--threads N]
 //
+//   either mode also takes --trace FILE and --metrics[=FILE], as
+//   national_analysis does (README.md, "Observability").
+//
 // Both modes read the same script and write query answers through the same
 // formatter, so for any delta/query sequence the two --out files must be
 // byte-identical — CI diffs them (the golden-equivalence gate). Doubles are
@@ -43,6 +46,7 @@
 #include "leodivide/core/sizing.hpp"
 #include "leodivide/demand/delta.hpp"
 #include "leodivide/demand/generator.hpp"
+#include "leodivide/obs/obs.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/serve/client.hpp"
 #include "leodivide/serve/session.hpp"
@@ -55,7 +59,8 @@ constexpr const char* kUsage =
     "usage: analysis_client --connect HOST --port N --script FILE --out FILE"
     " [--shutdown]\n"
     "       analysis_client --batch --script FILE --out FILE [--scale S]"
-    " [--seed N] [--threads N]\n";
+    " [--seed N] [--threads N]\n"
+    "       either mode: [--trace FILE] [--metrics[=FILE]]\n";
 
 /// Bit-exact double rendering: decimal for humans, bit pattern for diff.
 std::string fmt(double v) {
@@ -344,6 +349,7 @@ int main(int argc, char** argv) {
   std::string script_path;
   std::string out_path;
   demand::GeneratorConfig gen_config{};
+  obs::Options obs_options = obs::options_from_env();
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -370,6 +376,8 @@ int main(int argc, char** argv) {
           std::cerr << "invalid --threads value: " << argv[i] << '\n';
           return 2;
         }
+      } else if (obs::parse_cli_arg(obs_options, argc, argv, i)) {
+        // Observability flag; consumed.
       } else {
         std::cerr << "unknown or malformed flag: " << arg << '\n' << kUsage;
         return 2;
@@ -392,8 +400,12 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open output: " << out_path << '\n';
       return 2;
     }
-    return batch ? run_batch_mode(gen_config, commands, out)
-                 : run_socket_mode(host, port, commands, out, shutdown_at_end);
+    obs::apply(obs_options);
+    const int rc =
+        batch ? run_batch_mode(gen_config, commands, out)
+              : run_socket_mode(host, port, commands, out, shutdown_at_end);
+    obs::finalize(obs_options);
+    return rc;
   } catch (const std::exception& e) {
     std::cerr << "analysis_client: " << e.what() << '\n';
     return 1;

@@ -2,41 +2,53 @@
 // oversubscription) and a satellite budget, find the (beamspread,
 // locations-left-unserved) operating points that fit the budget.
 //
-//   $ ./constellation_planner [satellite_budget] [oversub_cap]
+//   $ ./constellation_planner [--trace FILE] [--metrics[=FILE]]
+//                             [satellite_budget] [oversub_cap]
 //
 // Defaults: 8000 satellites (roughly today's deployed fleet), 20:1 (the
-// FCC's fixed-wireless benchmark).
+// FCC's fixed-wireless benchmark). `--trace`/`--metrics` work as in
+// national_analysis (README.md, "Observability").
 
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "leodivide/core/longtail.hpp"
 #include "leodivide/core/sizing.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/io/table.hpp"
+#include "leodivide/obs/obs.hpp"
 
 int main(int argc, char** argv) {
   using namespace leodivide;
 
-  // Positional args only: a stray --flag would otherwise parse as 0.
+  // Besides the observability flags, positional args only: a stray --flag
+  // would otherwise parse as 0.
+  obs::Options obs_options = obs::options_from_env();
+  std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
+    if (obs::parse_cli_arg(obs_options, argc, argv, i)) continue;
     if (std::string(argv[i]).rfind("--", 0) == 0) {
       std::cerr << "unknown flag: " << argv[i]
-                << "\nusage: constellation_planner [satellite_budget] "
-                   "[oversub_cap]\n";
+                << "\nusage: constellation_planner [--trace FILE]"
+                   " [--metrics[=FILE]] [satellite_budget] [oversub_cap]\n";
       return 2;
     }
+    positional.emplace_back(argv[i]);
   }
 
-  const double budget = argc > 1 ? std::atof(argv[1]) : 8000.0;
-  const double cap = argc > 2 ? std::atof(argv[2]) : 20.0;
+  const double budget =
+      positional.size() > 0 ? std::atof(positional[0].c_str()) : 8000.0;
+  const double cap =
+      positional.size() > 1 ? std::atof(positional[1].c_str()) : 20.0;
   if (budget <= 0.0 || cap <= 0.0) {
     std::cerr << "usage: constellation_planner [satellite_budget] "
                  "[oversub_cap]\n";
     return 1;
   }
+  obs::apply(obs_options);
 
   std::cout << "Constellation planner: budget "
             << io::fmt_count(std::llround(budget))
@@ -75,5 +87,6 @@ int main(int argc, char** argv) {
             << io::fmt(cap, 0)
             << ":1 limit (Figure 2's tradeoff). The 'locations unserved' "
                "column is the Figure 3 curve evaluated at your budget.\n";
+  obs::finalize(obs_options);
   return 0;
 }

@@ -1,7 +1,8 @@
 // Coverage simulation: propagate a Walker shell over time and watch the
 // greedy beam scheduler serve the national demand cells epoch by epoch.
 //
-//   $ ./coverage_sim [--engine=epoch|event] [--snapshot-dir DIR] [planes]
+//   $ ./coverage_sim [--engine=epoch|event] [--snapshot-dir DIR]
+//                    [--trace FILE] [--metrics[=FILE]] [planes]
 //                    [sats_per_plane] [minutes] [beamspread]
 //
 // Defaults: Starlink shell 1 (72 x 22 at 53 deg / 550 km), 10 minutes,
@@ -11,7 +12,8 @@
 // LEODIVIDE_SNAPSHOT_DIR) the generated demand profile and the epoch
 // trace are cached as LDSNAP blobs keyed by their exact inputs, so a
 // rerun with the same shell and horizon skips both generation and
-// propagation.
+// propagation. `--trace`/`--metrics` work as in national_analysis
+// (README.md, "Observability").
 
 #include <cstdlib>
 #include <iostream>
@@ -21,6 +23,7 @@
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/event/engine.hpp"
 #include "leodivide/io/table.hpp"
+#include "leodivide/obs/obs.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/orbit/footprint.hpp"
 #include "leodivide/sim/handover.hpp"
@@ -32,11 +35,14 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> positional;
   sim::Engine engine = sim::Engine::kEpoch;
+  obs::Options obs_options = obs::options_from_env();
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (snapshot::parse_cli_arg(argc, argv, i)) {
         // Snapshot cache flag; consumed.
+      } else if (obs::parse_cli_arg(obs_options, argc, argv, i)) {
+        // Observability flag; consumed.
       } else if (arg == "--engine=epoch") {
         engine = sim::Engine::kEpoch;
       } else if (arg == "--engine=event") {
@@ -44,7 +50,8 @@ int main(int argc, char** argv) {
       } else if (arg.rfind("--", 0) == 0) {
         std::cerr << "unknown or malformed flag: " << arg
                   << "\nusage: coverage_sim [--engine=epoch|event] "
-                     "[--snapshot-dir DIR] [planes] "
+                     "[--snapshot-dir DIR] [--trace FILE] "
+                     "[--metrics[=FILE]] [planes] "
                      "[sats_per_plane] [minutes] [beamspread]\n";
         return 2;
       } else {
@@ -82,6 +89,7 @@ int main(int argc, char** argv) {
                  "[sats_per_plane] [minutes] [beamspread]\n";
     return 1;
   }
+  obs::apply(obs_options);
 
   std::cout << "shell: " << config.shell.to_string() << " ("
             << io::fmt_count(config.shell.total_sats()) << " satellites)\n"
@@ -192,5 +200,6 @@ int main(int argc, char** argv) {
                  "paper's capacity argument (P1/P2) in action. Try more "
                  "planes/satellites or higher beamspread.\n";
   }
+  obs::finalize(obs_options);
   return 0;
 }

@@ -3,20 +3,34 @@
 // demand geographies and income distributions? Three illustrative regions
 // are compared with the same pipeline used for the US analysis.
 //
-//   $ ./region_study
+//   $ ./region_study [--trace FILE] [--metrics[=FILE]]
+//
+// `--trace`/`--metrics` work as in national_analysis (README.md,
+// "Observability").
 
 #include <cmath>
 #include <iostream>
+#include <string>
 
 #include "leodivide/afford/affordability.hpp"
 #include "leodivide/core/oversubscription.hpp"
 #include "leodivide/core/sizing.hpp"
 #include "leodivide/demand/region.hpp"
 #include "leodivide/io/table.hpp"
+#include "leodivide/obs/obs.hpp"
 #include "leodivide/stats/lorenz.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace leodivide;
+
+  obs::Options obs_options = obs::options_from_env();
+  for (int i = 1; i < argc; ++i) {
+    if (obs::parse_cli_arg(obs_options, argc, argv, i)) continue;
+    std::cerr << "unknown argument: " << argv[i]
+              << "\nusage: region_study [--trace FILE] [--metrics[=FILE]]\n";
+    return 2;
+  }
+  obs::apply(obs_options);
 
   const demand::RegionSpec specs[] = {
       demand::dense_compact_region(),
@@ -69,5 +83,6 @@ int main() {
          "completely at $120/month; capacity and affordability barriers "
          "are independent, and a constellation sized for one does not "
          "solve the other. ('Another stone for the jar', Section 6.)\n";
+  obs::finalize(obs_options);
   return 0;
 }

@@ -5,15 +5,18 @@
 namespace leodivide::demand {
 
 CountyTable::CountyTable(std::vector<County> counties) {
+  counties_.reserve(counties.size());
+  index_.reserve(counties.size());
   for (auto& c : counties) add(std::move(c));
 }
 
 std::uint32_t CountyTable::add(County county) {
-  if (find(county.fips) >= 0) {
+  const auto index = static_cast<std::uint32_t>(counties_.size());
+  if (!index_.try_emplace(county.fips, index).second) {
     throw std::invalid_argument("CountyTable: duplicate FIPS " + county.fips);
   }
   counties_.push_back(std::move(county));
-  return static_cast<std::uint32_t>(counties_.size() - 1);
+  return index;
 }
 
 const County& CountyTable::at(std::uint32_t index) const {
@@ -27,10 +30,8 @@ County& CountyTable::at(std::uint32_t index) {
 }
 
 std::int64_t CountyTable::find(const std::string& fips) const {
-  for (std::size_t i = 0; i < counties_.size(); ++i) {
-    if (counties_[i].fips == fips) return static_cast<std::int64_t>(i);
-  }
-  return -1;
+  const auto it = index_.find(fips);
+  return it == index_.end() ? -1 : static_cast<std::int64_t>(it->second);
 }
 
 std::uint64_t CountyTable::total_underserved() const noexcept {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "leodivide/geo/geopoint.hpp"
@@ -21,7 +22,8 @@ struct County {
   friend bool operator==(const County&, const County&) = default;
 };
 
-/// Flat county table with FIPS lookup.
+/// Flat county table with a FIPS -> index map: `add` and `find` are O(1),
+/// so building a table is linear in its size.
 class CountyTable {
  public:
   CountyTable() = default;
@@ -32,6 +34,9 @@ class CountyTable {
   std::uint32_t add(County county);
 
   [[nodiscard]] const County& at(std::uint32_t index) const;
+  /// Mutable access for counts and income. The caller must not change
+  /// `fips`: the FIPS index would go stale. (delta.cpp, the only writer,
+  /// touches counts and income alone.)
   [[nodiscard]] County& at(std::uint32_t index);
 
   /// Index of a county by FIPS, or -1 if absent.
@@ -47,6 +52,7 @@ class CountyTable {
 
  private:
   std::vector<County> counties_;
+  std::unordered_map<std::string, std::uint32_t> index_;  ///< FIPS -> index
 };
 
 }  // namespace leodivide::demand

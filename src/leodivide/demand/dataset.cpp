@@ -2,21 +2,35 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 
 #include "leodivide/io/csv.hpp"
+#include "leodivide/obs/metrics.hpp"
+#include "leodivide/obs/trace.hpp"
 
 namespace leodivide::demand {
 
 namespace {
 
 double to_double(const std::string& s, const char* what) {
+  // from_chars takes every field a CSV writer emits. Anything it does not
+  // consume whole, and the values strtod flags (out of range, subnormal)
+  // or spells differently (inf, nan payloads), take the std::stod path, so
+  // the accepted inputs, values and error messages stay those of stod.
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  const int kind = std::fpclassify(v);
+  if (ec == std::errc{} && ptr == s.data() + s.size() &&
+      (kind == FP_NORMAL || kind == FP_ZERO)) {
+    return v;
+  }
   try {
     std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
+    v = std::stod(s, &pos);
     if (pos != s.size()) throw std::invalid_argument(s);
     return v;
   } catch (const std::exception&) {
@@ -33,6 +47,70 @@ std::uint64_t to_u64(const std::string& s, const char* what) {
                              ": '" + s + "'");
   }
   return v;
+}
+
+// Strictly hex digits, as save_csv writes them: no sign, prefix, space or
+// trailing byte.
+hex::CellId to_cell_id(const std::string& s) {
+  std::uint64_t bits = 0;
+  const auto [ptr, ec] =
+      std::from_chars(s.data(), s.data() + s.size(), bits, 16);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) {
+    throw std::runtime_error("CSV: bad cell id: '" + s + "'");
+  }
+  return hex::CellId::from_bits(bits);
+}
+
+void count_parsed(const io::CsvReader& reader) {
+  if (obs::metrics_enabled()) {
+    static obs::Counter& parsed =
+        obs::registry().counter("io.csv.bytes_parsed");
+    parsed.add(reader.bytes_read());
+  }
+}
+
+// Calls `on_row` for every record after the header, checking its width.
+template <typename OnRow>
+void read_records(std::istream& in, std::size_t width, const char* what,
+                  OnRow on_row) {
+  io::CsvReader reader(in);
+  io::CsvRow row;
+  bool header = true;
+  while (reader.next(row)) {
+    if (header) {
+      header = false;
+      continue;
+    }
+    if (row.size() != width) {
+      throw std::runtime_error(std::string(what) + " CSV: bad width");
+    }
+    on_row(row);
+  }
+  count_parsed(reader);
+}
+
+void save_counties(std::ostream& out, const CountyTable& counties) {
+  io::CsvWriter w(out);
+  w.write_row({"fips", "lat", "lon", "median_income_usd", "underserved"});
+  for (const auto& k : counties.all()) {
+    w.field(k.fips)
+        .field_fixed6(k.centroid.lat_deg)
+        .field_fixed6(k.centroid.lon_deg)
+        .field_fixed6(k.median_income_usd)
+        .field_uint(k.underserved_locations)
+        .end_row();
+  }
+}
+
+CountyTable load_counties(std::istream& in) {
+  CountyTable counties;
+  read_records(in, 5, "county", [&counties](const io::CsvRow& row) {
+    counties.add(County{row[0],
+                        {to_double(row[1], "lat"), to_double(row[2], "lon")},
+                        to_double(row[3], "income"),
+                        to_u64(row[4], "underserved")});
+  });
+  return counties;
 }
 
 }  // namespace
@@ -99,62 +177,33 @@ std::vector<std::size_t> DemandProfile::cells_by_count_desc() const {
 
 void DemandProfile::save_csv(std::ostream& cells_out,
                              std::ostream& counties_out) const {
-  io::CsvWriter cw(cells_out);
-  cw.write_row({"cell_id", "lat", "lon", "underserved", "county_index"});
+  const obs::Span span("demand.save_csv");
+  io::CsvWriter w(cells_out);
+  w.write_row({"cell_id", "lat", "lon", "underserved", "county_index"});
   for (const auto& c : cells_) {
-    cw.write_row({c.cell.to_string(), std::to_string(c.center.lat_deg),
-                  std::to_string(c.center.lon_deg),
-                  std::to_string(c.underserved),
-                  std::to_string(c.county_index)});
+    w.field_hex(c.cell.bits())  // CellId::to_string's digits
+        .field_fixed6(c.center.lat_deg)
+        .field_fixed6(c.center.lon_deg)
+        .field_uint(c.underserved)
+        .field_uint(c.county_index)
+        .end_row();
   }
-  io::CsvWriter kw(counties_out);
-  kw.write_row({"fips", "lat", "lon", "median_income_usd", "underserved"});
-  for (const auto& k : counties_.all()) {
-    kw.write_row({k.fips, std::to_string(k.centroid.lat_deg),
-                  std::to_string(k.centroid.lon_deg),
-                  std::to_string(k.median_income_usd),
-                  std::to_string(k.underserved_locations)});
-  }
+  save_counties(counties_out, counties_);
 }
 
 DemandProfile DemandProfile::load_csv(std::istream& cells_in,
                                       std::istream& counties_in) {
-  io::CsvRow row;
-  CountyTable counties;
-  {
-    io::CsvReader reader(counties_in);
-    bool header = true;
-    while (reader.next(row)) {
-      if (header) {
-        header = false;
-        continue;
-      }
-      if (row.size() != 5) throw std::runtime_error("county CSV: bad width");
-      counties.add(County{row[0],
-                          {to_double(row[1], "lat"), to_double(row[2], "lon")},
-                          to_double(row[3], "income"),
-                          to_u64(row[4], "underserved")});
-    }
-  }
+  const obs::Span span("demand.load_csv");
+  CountyTable counties = load_counties(counties_in);
   std::vector<CellDemand> cells;
-  {
-    io::CsvReader reader(cells_in);
-    bool header = true;
-    while (reader.next(row)) {
-      if (header) {
-        header = false;
-        continue;
-      }
-      if (row.size() != 5) throw std::runtime_error("cell CSV: bad width");
-      CellDemand cd;
-      cd.cell = hex::CellId::from_bits(
-          std::stoull(row[0], nullptr, 16));
-      cd.center = {to_double(row[1], "lat"), to_double(row[2], "lon")};
-      cd.underserved = static_cast<std::uint32_t>(to_u64(row[3], "count"));
-      cd.county_index = static_cast<std::uint32_t>(to_u64(row[4], "county"));
-      cells.push_back(cd);
-    }
-  }
+  read_records(cells_in, 5, "cell", [&cells](const io::CsvRow& row) {
+    CellDemand cd;
+    cd.cell = to_cell_id(row[0]);
+    cd.center = {to_double(row[1], "lat"), to_double(row[2], "lon")};
+    cd.underserved = static_cast<std::uint32_t>(to_u64(row[3], "count"));
+    cd.county_index = static_cast<std::uint32_t>(to_u64(row[4], "county"));
+    cells.push_back(cd);
+  });
   return DemandProfile(std::move(cells), std::move(counties));
 }
 
@@ -178,65 +227,41 @@ std::uint64_t DemandDataset::underserved_count() const noexcept {
 
 void DemandDataset::save_csv(std::ostream& locations_out,
                              std::ostream& counties_out) const {
-  io::CsvWriter lw(locations_out);
-  lw.write_row({"id", "lat", "lon", "county_index", "down_mbps", "up_mbps",
-                "technology"});
+  const obs::Span span("demand.save_csv");
+  io::CsvWriter w(locations_out);
+  w.write_row({"id", "lat", "lon", "county_index", "down_mbps", "up_mbps",
+               "technology"});
   for (const auto& l : locations_) {
-    lw.write_row({std::to_string(l.id), std::to_string(l.position.lat_deg),
-                  std::to_string(l.position.lon_deg),
-                  std::to_string(l.county_index),
-                  std::to_string(l.best_offer.down_mbps),
-                  std::to_string(l.best_offer.up_mbps),
-                  to_string(l.technology)});
+    w.field_uint(l.id)
+        .field_fixed6(l.position.lat_deg)
+        .field_fixed6(l.position.lon_deg)
+        .field_uint(l.county_index)
+        .field_fixed6(l.best_offer.down_mbps)
+        .field_fixed6(l.best_offer.up_mbps)
+        .field(to_string(l.technology))
+        .end_row();
   }
-  io::CsvWriter kw(counties_out);
-  kw.write_row({"fips", "lat", "lon", "median_income_usd", "underserved"});
-  for (const auto& k : counties_.all()) {
-    kw.write_row({k.fips, std::to_string(k.centroid.lat_deg),
-                  std::to_string(k.centroid.lon_deg),
-                  std::to_string(k.median_income_usd),
-                  std::to_string(k.underserved_locations)});
-  }
+  save_counties(counties_out, counties_);
 }
 
 DemandDataset DemandDataset::load_csv(std::istream& locations_in,
                                       std::istream& counties_in) {
-  io::CsvRow row;
-  CountyTable counties;
-  {
-    io::CsvReader reader(counties_in);
-    bool header = true;
-    while (reader.next(row)) {
-      if (header) {
-        header = false;
-        continue;
-      }
-      if (row.size() != 5) throw std::runtime_error("county CSV: bad width");
-      counties.add(County{row[0],
-                          {to_double(row[1], "lat"), to_double(row[2], "lon")},
-                          to_double(row[3], "income"),
-                          to_u64(row[4], "underserved")});
-    }
-  }
+  const obs::Span span("demand.load_csv");
+  CountyTable counties = load_counties(counties_in);
   std::vector<Location> locations;
-  {
-    io::CsvReader reader(locations_in);
-    bool header = true;
-    while (reader.next(row)) {
-      if (header) {
-        header = false;
-        continue;
-      }
-      if (row.size() != 7) throw std::runtime_error("location CSV: bad width");
-      Location l;
-      l.id = to_u64(row[0], "id");
-      l.position = {to_double(row[1], "lat"), to_double(row[2], "lon")};
-      l.county_index = static_cast<std::uint32_t>(to_u64(row[3], "county"));
-      l.best_offer = {to_double(row[4], "down"), to_double(row[5], "up")};
-      l.technology = technology_from_string(row[6]);
-      locations.push_back(l);
-    }
-  }
+  read_records(locations_in, 7, "location",
+               [&locations](const io::CsvRow& row) {
+                 Location l;
+                 l.id = to_u64(row[0], "id");
+                 l.position = {to_double(row[1], "lat"),
+                               to_double(row[2], "lon")};
+                 l.county_index =
+                     static_cast<std::uint32_t>(to_u64(row[3], "county"));
+                 l.best_offer = {to_double(row[4], "down"),
+                                 to_double(row[5], "up")};
+                 l.technology = technology_from_string(row[6]);
+                 locations.push_back(l);
+               });
   return DemandDataset(std::move(locations), std::move(counties));
 }
 

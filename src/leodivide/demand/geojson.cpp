@@ -3,11 +3,13 @@
 #include <ostream>
 
 #include "leodivide/io/json.hpp"
+#include "leodivide/obs/trace.hpp"
 
 namespace leodivide::demand {
 
 void write_geojson(std::ostream& out, const DemandProfile& profile,
                    const hex::HexGrid& grid, std::uint32_t min_locations) {
+  const obs::Span span("demand.write_geojson");
   io::JsonWriter json(out, /*pretty=*/false);
   json.begin_object();
   json.value("type", "FeatureCollection");

@@ -1,7 +1,7 @@
 #include "leodivide/hex/cellid.hpp"
 
+#include <charconv>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace leodivide::hex {
@@ -55,9 +55,9 @@ HexCoord CellId::coord() const noexcept {
 }
 
 std::string CellId::to_string() const {
-  std::ostringstream os;
-  os << std::hex << bits_;
-  return os.str();
+  char buf[16];  // 64 bits are at most 16 hex digits
+  const auto r = std::to_chars(buf, buf + sizeof(buf), bits_, 16);
+  return {buf, r.ptr};
 }
 
 std::ostream& operator<<(std::ostream& os, const CellId& id) {

@@ -4,6 +4,8 @@
 // Census extracts.
 
 #include <cstddef>
+#include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -27,15 +29,24 @@ class CsvReader {
  public:
   explicit CsvReader(std::istream& in);
 
-  /// Reads the next record into `row`; returns false at end of input.
+  /// Reads the next record into `row`, reusing the storage of its
+  /// strings; returns false at end of input.
   bool next(CsvRow& row);
 
   /// Number of records returned so far.
   [[nodiscard]] std::size_t records_read() const noexcept { return count_; }
 
+  /// Input bytes consumed so far, line terminators included.
+  [[nodiscard]] std::size_t bytes_read() const noexcept { return bytes_; }
+
  private:
+  bool read_line(std::string& line);
+
   std::istream& in_;
   std::size_t count_ = 0;
+  std::size_t bytes_ = 0;
+  std::string line_;  ///< the current record, kept across calls
+  std::string more_;  ///< a continuation line of a quoted field
 };
 
 /// CSV writer with minimal quoting (quotes only when necessary). A stream
@@ -49,13 +60,26 @@ class CsvWriter {
   void write_row(const CsvRow& row);
   void write_row(std::initializer_list<std::string_view> fields);
 
+  /// Field-at-a-time rows with no per-field strings: each call appends one
+  /// field to the pending row and end_row() writes it, exactly as
+  /// write_row would have.
+  CsvWriter& field(std::string_view v);
+  /// `v` as std::to_string(double) renders it (printf "%f").
+  CsvWriter& field_fixed6(double v);
+  /// `v` in decimal, as std::to_string renders it.
+  CsvWriter& field_uint(std::uint64_t v);
+  /// `v` in lowercase hex without a prefix, as `std::hex` renders it.
+  CsvWriter& field_hex(std::uint64_t v);
+  void end_row();
+
   [[nodiscard]] std::size_t records_written() const noexcept { return count_; }
 
  private:
-  void write_field(std::string_view field, bool first);
-  void check_stream() const;
+  void separator();
   std::ostream& out_;
   std::size_t count_ = 0;
+  std::string row_;  ///< the pending row, reused across rows
+  bool row_empty_ = true;
 };
 
 /// Escapes one field per RFC 4180 (wraps in quotes iff it contains a comma,

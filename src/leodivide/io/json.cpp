@@ -1,5 +1,6 @@
 #include "leodivide/io/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -122,11 +123,17 @@ void JsonWriter::end_array() {
 }
 
 namespace {
-std::string number_to_string(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
+void write_number(std::ostream& out, double v) {
+  if (!std::isfinite(v)) {
+    out << "null";
+    return;
+  }
+  // to_chars in general format with a precision is specified as printf's
+  // "%.12g"; the longest form is "-1.23456789012e-308".
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::general, 12);
+  out.write(buf, r.ptr - buf);
 }
 }  // namespace
 
@@ -138,7 +145,7 @@ void JsonWriter::value(std::string_view key, std::string_view v) {
 
 void JsonWriter::value(std::string_view key, double v) {
   key_prefix(key);
-  out_ << number_to_string(v);
+  write_number(out_, v);
   check_stream();
 }
 
@@ -168,7 +175,7 @@ void JsonWriter::element(double v) {
     throw std::logic_error("JsonWriter: element outside array");
   }
   comma_and_indent();
-  out_ << number_to_string(v);
+  write_number(out_, v);
   check_stream();
 }
 

@@ -14,6 +14,7 @@
 #include "leodivide/hex/polyfill.hpp"
 #include "leodivide/obs/gate.hpp"
 #include "leodivide/obs/metrics.hpp"
+#include "leodivide/obs/trace.hpp"
 #include "leodivide/stats/percentile.hpp"
 #include "leodivide/stats/rng.hpp"
 
@@ -80,6 +81,68 @@ TEST(CountyTableTest, RejectsDuplicatesAndBadIndex) {
   EXPECT_THROW(table.at(5), std::out_of_range);
 }
 
+TEST(CountyTableTest, DuplicateFipsMessageNamesTheCode) {
+  for (const bool via_vector : {false, true}) {
+    try {
+      if (via_vector) {
+        (void)CountyTable({{"90001", {}, 1.0, 0},
+                           {"90002", {}, 1.0, 0},
+                           {"90001", {}, 2.0, 0}});
+      } else {
+        CountyTable table;
+        table.add({"90001", {}, 1.0, 0});
+        table.add({"90001", {}, 2.0, 0});
+      }
+      FAIL() << "duplicate FIPS accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "CountyTable: duplicate FIPS 90001");
+    }
+  }
+}
+
+// Building a table must stay linear in its size. 100,000 counties cost
+// 26-40 ms through add or the vector constructor and 75-95 ms through a
+// load_csv of them (optimised build, 4-vCPU x86-64 VM). A scan of every
+// existing FIPS per add is 5e9 string compares, about 20 s. The bound is
+// over 50x the linear cost and 4x under the quadratic one.
+TEST(CountyTableTest, BuildStaysLinear) {
+  constexpr std::uint32_t kCounties = 100000;
+  constexpr std::uint64_t kBoundNs = 5'000'000'000;
+  std::vector<County> counties;
+  counties.reserve(kCounties);
+  for (std::uint32_t i = 0; i < kCounties; ++i) {
+    counties.push_back({std::to_string(1000000 + i), {40.0, -100.0}, 50000.0,
+                        i});
+  }
+
+  std::uint64_t t0 = obs::now_ns();
+  CountyTable added;
+  for (const County& c : counties) added.add(c);
+  const std::uint64_t add_ns = obs::now_ns() - t0;
+
+  t0 = obs::now_ns();
+  const CountyTable built(counties);
+  const std::uint64_t ctor_ns = obs::now_ns() - t0;
+
+  const DemandProfile profile({}, built);
+  std::ostringstream cells_out, counties_out;
+  profile.save_csv(cells_out, counties_out);
+  std::istringstream cells_in(cells_out.str()),
+      counties_in(counties_out.str());
+  t0 = obs::now_ns();
+  const DemandProfile loaded = DemandProfile::load_csv(cells_in, counties_in);
+  const std::uint64_t load_ns = obs::now_ns() - t0;
+
+  ASSERT_EQ(added.size(), kCounties);
+  ASSERT_EQ(built.size(), kCounties);
+  ASSERT_EQ(loaded.counties().size(), kCounties);
+  EXPECT_EQ(loaded.counties().find("1099999"), kCounties - 1);
+  EXPECT_EQ(built.find(counties[4242].fips), 4242);
+  EXPECT_LT(add_ns, kBoundNs) << "CountyTable::add";
+  EXPECT_LT(ctor_ns, kBoundNs) << "CountyTable(std::vector<County>)";
+  EXPECT_LT(load_ns, kBoundNs) << "DemandProfile::load_csv";
+}
+
 // ---------------------------------------------------------------- dataset ----
 
 TEST(CellDemandTest, DemandScalesWithLocations) {
@@ -129,6 +192,85 @@ TEST(DemandProfileTest, CsvRoundTrip) {
     EXPECT_EQ(back.cells()[i].cell, profile.cells()[i].cell);
     EXPECT_EQ(back.cells()[i].underserved, profile.cells()[i].underserved);
   }
+}
+
+// load_csv takes the cell id as save_csv writes it: hex digits and nothing
+// else. A trailing byte, a leading space, a 0x prefix or a sign is an
+// error, not a partial parse.
+TEST(DemandProfileTest, LoadCsvRejectsLenientCellIds) {
+  const std::string counties =
+      "fips,lat,lon,median_income_usd,underserved\n"
+      "90001,40.000000,-100.000000,50000.000000,3\n";
+  for (const std::string id : {"12abz", " 12ab", "0x12ab", "-1", ""}) {
+    std::istringstream cells_in(
+        "cell_id,lat,lon,underserved,county_index\n\"" + id +
+        "\",40.000000,-100.000000,3,0\n");
+    std::istringstream counties_in(counties);
+    try {
+      (void)DemandProfile::load_csv(cells_in, counties_in);
+      FAIL() << "cell id '" << id << "' accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "CSV: bad cell id: '" + id + "'");
+    }
+  }
+  // The ids save_csv writes, upper-case digits and the invalid sentinel
+  // still load.
+  for (const std::string id : {"50000a0000c", "50000A0000C",
+                               "ffffffffffffffff"}) {
+    std::istringstream cells_in(
+        "cell_id,lat,lon,underserved,county_index\n" + id +
+        ",40.000000,-100.000000,3,0\n");
+    std::istringstream counties_in(counties);
+    const DemandProfile p = DemandProfile::load_csv(cells_in, counties_in);
+    ASSERT_EQ(p.cell_count(), 1U);
+    EXPECT_EQ(p.cells()[0].cell.bits(), std::stoull(id, nullptr, 16)) << id;
+  }
+}
+
+// Numeric fields: from_chars parses them, but inputs it does not take
+// whole keep std::stod's verdict and the error message.
+TEST(DemandProfileTest, LoadCsvNumbersKeepStodSemantics) {
+  const std::string header = "fips,lat,lon,median_income_usd,underserved\n";
+  auto load_income = [&header](const std::string& income) {
+    std::istringstream cells_in("cell_id,lat,lon,underserved,county_index\n");
+    std::istringstream counties_in(header + "90001,40.0,-100.0," + income +
+                                   ",3\n");
+    return DemandProfile::load_csv(cells_in, counties_in)
+        .counties()
+        .at(0)
+        .median_income_usd;
+  };
+  EXPECT_EQ(load_income("52000.000000"), 52000.0);
+  EXPECT_EQ(load_income("+5e4"), 50000.0);
+  EXPECT_EQ(load_income(" 7"), 7.0);
+  EXPECT_EQ(load_income("0x10"), 16.0);
+  EXPECT_TRUE(std::isinf(load_income("inf")));
+  EXPECT_TRUE(std::isnan(load_income("nan")));
+  for (const std::string bad : {"1e-310", "1e999", "12abc", "", "1.5e"}) {
+    try {
+      (void)load_income(bad);
+      FAIL() << "income '" << bad << "' accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "CSV: bad double for income: '" + bad +
+                                           "'");
+    }
+  }
+}
+
+TEST(DemandProfileTest, LoadCsvCountsBytesParsed) {
+  const SyntheticGenerator gen({.seed = 7, .scale = 0.002});
+  std::ostringstream cells_out, counties_out;
+  gen.generate_profile().save_csv(cells_out, counties_out);
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Counter& parsed = obs::registry().counter("io.csv.bytes_parsed");
+  const std::uint64_t before = parsed.total();
+  std::istringstream cells_in(cells_out.str()),
+      counties_in(counties_out.str());
+  (void)DemandProfile::load_csv(cells_in, counties_in);
+  const std::uint64_t used = parsed.total() - before;
+  obs::set_metrics_enabled(was_enabled);
+  EXPECT_EQ(used, cells_out.str().size() + counties_out.str().size());
 }
 
 TEST(DemandDatasetTest, CsvRoundTrip) {

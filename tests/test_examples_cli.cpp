@@ -1,10 +1,12 @@
 // Example binaries must reject unknown `--flags` with a nonzero exit and
 // name the offending flag — a typo'd `--snapshot-dri` must never silently
 // run a full (uncached) analysis. Each case spawns the real binary via
-// popen and inspects its exit status and output.
+// popen and inspects its exit status and output. The same harness checks
+// that every binary writes `--metrics` JSON and pins the bytes of the
+// national_analysis outputs.
 //
-// Binary locations come from the LEODIVIDE_EXAMPLES_DIR compile definition
-// (the build's examples/ output directory, set in tests/CMakeLists.txt).
+// Binary locations come from the LEODIVIDE_EXAMPLES_DIR and LEODIVIDE_LDSNAP
+// compile definitions (set in tests/CMakeLists.txt).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+
+#include <unistd.h>
+
+#include "golden_hash.hpp"
+#include "leodivide/demand/generator.hpp"
+#include "leodivide/io/fileio.hpp"
+#include "leodivide/io/json.hpp"
+#include "leodivide/snapshot/snapshot.hpp"
 
 namespace {
 
@@ -68,7 +78,9 @@ INSTANTIATE_TEST_SUITE_P(AllExamples, ExamplesCli,
                                            "affordability_report",
                                            "constellation_planner",
                                            "quickstart",
-                                           "market_compare"),
+                                           "market_compare",
+                                           "region_study",
+                                           "analysis_client"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
@@ -111,6 +123,110 @@ TEST(ExamplesCli, SnapshotDirWithoutValueRejected) {
   }
   const RunResult r = run_command(binary + " --snapshot-dir");
   EXPECT_NE(r.exit_code, 0) << "bare --snapshot-dir accepted:\n" << r.output;
+}
+
+// Every binary takes `--metrics=FILE` and writes the metrics registry there
+// as one JSON object at exit. Arguments keep each run small; %DIR% is a
+// temporary directory holding a profile snapshot (snap.ldsnap) and a
+// two-command client script (script.txt).
+struct MetricsCase {
+  const char* binary;
+  const char* args;
+};
+
+class ExamplesMetrics : public ::testing::TestWithParam<MetricsCase> {};
+
+std::string binary_path(const std::string& name) {
+  if (name == "ldsnap") {
+#ifdef LEODIVIDE_LDSNAP
+    return LEODIVIDE_LDSNAP;
+#else
+    return {};
+#endif
+  }
+  return example_path(name);
+}
+
+TEST_P(ExamplesMetrics, WritesValidMetricsJson) {
+  using namespace leodivide;
+  const MetricsCase c = GetParam();
+  const std::string binary = binary_path(c.binary);
+  if (binary.empty() || !fs::exists(binary)) {
+    GTEST_SKIP() << c.binary << " not built";
+  }
+  const fs::path dir = fs::temp_directory_path() /
+                       ("leodivide_metrics_" + std::string(c.binary) + "_" +
+                        std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const demand::SyntheticGenerator gen({.seed = 7, .scale = 0.002});
+  io::write_text_file((dir / "snap.ldsnap").string(),
+                      snapshot::serialize(gen.generate_profile()));
+  io::write_text_file((dir / "script.txt").string(),
+                      "resize 2 20\nserved 2 20\n");
+  std::string args = c.args;
+  for (std::size_t at = args.find("%DIR%"); at != std::string::npos;
+       at = args.find("%DIR%")) {
+    args.replace(at, 5, dir.string());
+  }
+  const fs::path metrics = dir / "metrics.json";
+  const RunResult r =
+      run_command(binary + " --metrics=" + metrics.string() + " " + args);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const io::JsonValue doc = io::json_parse(
+      leodivide::testing::read_bytes(metrics.string()));
+  ASSERT_TRUE(doc.is_object());
+  EXPECT_TRUE(doc.at("counters").is_object());
+  EXPECT_TRUE(doc.at("timers").is_object());
+  fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBinaries, ExamplesMetrics,
+    ::testing::Values(
+        MetricsCase{"coverage_sim", "6 6 2 5"},
+        MetricsCase{"quickstart", "0.01"},
+        MetricsCase{"region_study", ""},
+        MetricsCase{"affordability_report", "120 0.02"},
+        MetricsCase{"constellation_planner", "8000 20"},
+        MetricsCase{"analysis_client",
+                    "--batch --scale 0.01 --script %DIR%/script.txt "
+                    "--out %DIR%/answers.txt"},
+        MetricsCase{"ldsnap", "verify %DIR%/snap.ldsnap"}),
+    [](const auto& info) { return std::string(info.param.binary); });
+
+// The full seed-42 pipeline, pinned byte for byte. The digests are those
+// of the stream and printf encoders, which the to_chars encoders must
+// match. A cold run and a `--snapshot-dir` warm rerun (profile and
+// analysis restored from LDSNAP blobs) must both reproduce all four files.
+TEST(ExamplesCli, NationalAnalysisOutputsMatchGoldens) {
+  using leodivide::testing::Golden;
+  const std::string binary = example_path("national_analysis");
+  if (!fs::exists(binary)) {
+    GTEST_SKIP() << binary << " not built";
+  }
+  const fs::path dir = fs::temp_directory_path() /
+                       ("leodivide_golden_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  const std::pair<const char*, Golden> expected[] = {
+      {"cells.csv", {0x1c4f89dcd523bd76ULL, 927172}},
+      {"counties.csv", {0x0a00cadb6c43e81bULL, 95026}},
+      {"results.json", {0xa744c62153325b05ULL, 1463}},
+      {"dense_cells.geojson", {0xa9405a8254fa7a46ULL, 347466}},
+  };
+  for (const char* mode : {"cold", "warm"}) {
+    const std::string cmd = binary + " --threads 2 --snapshot-dir " +
+                            (dir / "cache").string() + " " +
+                            (dir / mode).string();
+    const RunResult r = run_command(cmd);
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    for (const auto& [name, want] : expected) {
+      const Golden got = leodivide::testing::golden_of(
+          leodivide::testing::read_bytes((dir / mode / name).string()));
+      EXPECT_EQ(got, want) << mode << " " << name << " "
+                           << leodivide::testing::to_literal(got);
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "leodivide/io/csv.hpp"
@@ -435,5 +436,155 @@ TEST_P(CsvFuzzRoundTrip, ArbitraryContentSurvives) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsvFuzzRoundTrip,
                          ::testing::Range<std::uint64_t>(1, 17));
+}  // namespace
+}  // namespace leodivide::io
+
+// Number formatting: the to_chars encoders must reproduce the printf
+// family byte for byte, so every CSV and JSON file the library writes keeps
+// its exact bytes.
+#include <cstdio>
+#include <limits>
+
+#include "leodivide/hex/cellid.hpp"
+
+namespace leodivide::io {
+namespace {
+
+// A seeded sample of doubles: raw bit patterns (every class, NaN payloads
+// included), values at every decimal magnitude, coordinate-like values, and
+// the edge cases by name.
+std::vector<double> formatting_sample() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> sample = {
+      0.0, -0.0, kNan, -kNan, kInf, -kInf,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      1e300, -1e300, 1e-300, -1e-300,
+      0.0000005, -0.0000005, 2.5e-7, 1.5e-6, 0.0000015, 0.5, 2.5, 1.0000005,
+      0.125, 1e15 + 0.5, 1e21, 123456789012.5, 1234567890125.0, 1e-5,
+      0.1, 0.2, 0.3, 28800.0, 39.5, -98.35, 52000.0, 100.0, 20.0};
+  stats::SplitMix64 rng(20250613);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    sample.push_back(v);
+  }
+  for (int i = 0; i < 20000; ++i) {
+    const double unit =
+        static_cast<double>(rng() >> 11) * 0x1.0p-53;  // [0, 1)
+    const int exponent = static_cast<int>(rng() % 41) - 20;
+    const double v = (unit - 0.5) * std::pow(10.0, exponent);
+    sample.push_back(v);
+    // Exact ties of the sixth and the twelfth significant place.
+    sample.push_back(std::round(v * 1e6) / 1e6 + 5e-7);
+    sample.push_back(std::ldexp(static_cast<double>(rng() % 4096) + 0.5, -7));
+  }
+  return sample;
+}
+
+// field_fixed6 is std::to_string(double), field_uint std::to_string and
+// field_hex `std::hex`, byte for byte.
+TEST(NumberFormat, CsvNumericFieldsMatchStringFields) {
+  std::ostringstream typed, strings;
+  CsvWriter t(typed), s(strings);
+  stats::SplitMix64 rng(7);
+  for (const double v : formatting_sample()) {
+    const std::uint64_t u = rng();
+    t.field_fixed6(v).field_uint(u).field_hex(u).end_row();
+    std::ostringstream hex;
+    hex << std::hex << u;
+    s.write_row({std::to_string(v), std::to_string(u), hex.str()});
+  }
+  EXPECT_EQ(typed.str(), strings.str());
+  EXPECT_EQ(t.records_written(), s.records_written());
+}
+
+TEST(NumberFormat, JsonNumbersMatchPrintfG12) {
+  std::ostringstream got;
+  std::string want = "[";
+  {
+    JsonWriter json(got, /*pretty=*/false);
+    json.begin_array();
+    bool first = true;
+    for (const double v : formatting_sample()) {
+      json.element(v);
+      if (!first) want += ',';
+      first = false;
+      if (std::isfinite(v)) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%.12g", v);
+        want += buf;
+      } else {
+        want += "null";
+      }
+    }
+    json.end_array();
+  }
+  want += ']';
+  EXPECT_EQ(got.str(), want);
+}
+
+TEST(NumberFormat, JsonIntegersMatchStream) {
+  for (const long long v :
+       {0LL, -1LL, 42LL, std::numeric_limits<long long>::min(),
+        std::numeric_limits<long long>::max()}) {
+    std::ostringstream got;
+    JsonWriter json(got, /*pretty=*/false);
+    json.begin_array();
+    json.element(v);
+    json.end_array();
+    std::ostringstream want;
+    want << '[' << v << ']';
+    EXPECT_EQ(got.str(), want.str());
+  }
+}
+
+TEST(NumberFormat, CellIdHexMatchesStdHex) {
+  stats::SplitMix64 rng(11);
+  for (int i = 0; i < 5000; ++i) {
+    const std::uint64_t bits = rng() >> (rng() % 64);
+    if ((bits >> 60) > static_cast<std::uint64_t>(hex::kMaxResolution)) {
+      continue;
+    }
+    const hex::CellId id = hex::CellId::from_bits(bits);
+    std::ostringstream want;
+    want << std::hex << bits;
+    ASSERT_EQ(id.to_string(), want.str());
+  }
+  EXPECT_EQ(hex::CellId::invalid().to_string(), "ffffffffffffffff");
+}
+
+// ------------------------------------------------------ reader row reuse --
+
+TEST(CsvReader, ReusedRowTakesEachRecordsWidth) {
+  std::istringstream in("a,b,c\n\"x,y\"\n1,,\n");
+  CsvReader reader(in);
+  CsvRow row = {"stale", "stale", "stale", "stale"};
+  ASSERT_TRUE(reader.next(row));
+  EXPECT_EQ(row, (CsvRow{"a", "b", "c"}));
+  ASSERT_TRUE(reader.next(row));
+  EXPECT_EQ(row, (CsvRow{"x,y"}));
+  ASSERT_TRUE(reader.next(row));
+  EXPECT_EQ(row, (CsvRow{"1", "", ""}));
+  EXPECT_FALSE(reader.next(row));
+}
+
+TEST(CsvReader, CountsBytesIncludingTerminators) {
+  const std::string text = "h1,h2\r\n\n\"multi\r\nline\",2\nlast,1";
+  std::istringstream in(text);
+  CsvReader reader(in);
+  CsvRow row;
+  while (reader.next(row)) {
+  }
+  EXPECT_EQ(reader.records_read(), 3U);
+  EXPECT_EQ(reader.bytes_read(), text.size());
+}
+
 }  // namespace
 }  // namespace leodivide::io

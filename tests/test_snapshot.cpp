@@ -424,6 +424,34 @@ TEST(Adversarial, DanglingCountyIndexRejected) {
                snapshot::SnapshotError);
 }
 
+TEST(Adversarial, DuplicateFipsRejectedTyped) {
+  // A container-valid profile blob listing one FIPS twice: the county
+  // table's duplicate check must surface as SnapshotError, its message
+  // kept.
+  snapshot::ByteWriter counties;
+  counties.u64(2);
+  for (int i = 0; i < 2; ++i) {
+    counties.str("10001");
+    counties.f64(39.0);
+    counties.f64(-75.5);
+    counties.f64(52000.0);
+    counties.u64(120);
+  }
+  snapshot::ByteWriter cells;
+  cells.u64(0);
+  snapshot::SnapshotWriter w(snapshot::ArtifactKind::kProfile);
+  w.add_section("counties", std::move(counties).take());
+  w.add_section("cells", std::move(cells).take());
+  try {
+    (void)snapshot::deserialize_profile(std::move(w).finish());
+    FAIL() << "duplicate FIPS decoded";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate FIPS 10001"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Adversarial, EventTraceUnknownEventKindRejected) {
   // A container-valid event-trace snapshot whose single event carries an
   // out-of-range kind byte must fail the semantic re-validation, not

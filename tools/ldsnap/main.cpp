@@ -4,6 +4,9 @@
 //   ldsnap verify  <file>...         full validation (exit 0 clean, 1 bad)
 //   ldsnap query   <file> <cell-id>  per-cell capacity / served-fraction
 //
+// `--trace FILE` and `--metrics[=FILE]` may appear anywhere on the command
+// line, as for the examples (README.md, "Observability").
+//
 // `query` works on profile snapshots (artifact kind "profile") and answers
 // in O(log n): the per-cell records are indexed once by cell id, then the
 // requested cell is found by binary search. Cell ids use the same hex form
@@ -19,6 +22,7 @@
 
 #include "leodivide/core/capacity_model.hpp"
 #include "leodivide/io/fileio.hpp"
+#include "leodivide/obs/obs.hpp"
 #include "leodivide/snapshot/snapshot.hpp"
 
 namespace {
@@ -35,6 +39,7 @@ void usage() {
       "                            (profile snapshots; hex cell id as in\n"
       "                            cells.csv)\n"
       "\n"
+      "Options: --trace FILE, --metrics[=FILE] (anywhere).\n"
       "Exit status: 0 ok, 1 invalid snapshot or cell not found, 2 usage.\n",
       stderr);
 }
@@ -162,27 +167,25 @@ int cmd_query(const std::string& path, const std::string& cell_hex) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) {
+int run(const std::vector<std::string>& args) {
+  if (args.empty()) {
     usage();
     return 2;
   }
-  const std::string cmd = argv[1];
+  const std::string& cmd = args[0];
   try {
     if (cmd == "-h" || cmd == "--help") {
       usage();
       return 0;
     }
-    if (cmd == "inspect" && argc == 3) {
-      return cmd_inspect(argv[2]);
+    if (cmd == "inspect" && args.size() == 2) {
+      return cmd_inspect(args[1]);
     }
-    if (cmd == "verify" && argc >= 3) {
-      return cmd_verify(std::vector<std::string>(argv + 2, argv + argc));
+    if (cmd == "verify" && args.size() >= 2) {
+      return cmd_verify({args.begin() + 1, args.end()});
     }
-    if (cmd == "query" && argc == 4) {
-      return cmd_query(argv[2], argv[3]);
+    if (cmd == "query" && args.size() == 3) {
+      return cmd_query(args[1], args[2]);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ldsnap %s: %s\n", cmd.c_str(), e.what());
@@ -190,4 +193,20 @@ int main(int argc, char** argv) {
   }
   usage();
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  obs::Options obs_options = obs::options_from_env();
+  std::vector<std::string> args;
+  for (int i = 1; i < argc; ++i) {
+    if (!obs::parse_cli_arg(obs_options, argc, argv, i)) {
+      args.emplace_back(argv[i]);
+    }
+  }
+  obs::apply(obs_options);
+  const int rc = run(args);
+  obs::finalize(obs_options);
+  return rc;
 }
