@@ -14,12 +14,9 @@
 // `--market` it runs the three-operator default market serially and on a
 // three-thread pool, verifies the reports byte-identical, and emits
 // {"bench":"market.operators",...} lines gated against BENCH_market.json.
-// With `--graph` it runs the task-graph pipeline comparison — K
-// independent scenario chains sequentially with synchronous snapshot
-// stores vs TaskGraph-scheduled on a pool with stores offloaded to the
-// async I/O thread — plus the SIMD visibility/rotation kernels against
-// their retained scalar twins, all byte-identity-checked before timing,
-// emitting {"bench":"graph",...} lines gated against BENCH_graph.json.
+// With `--simd` it runs the SIMD visibility/rotation kernels against
+// their retained scalar twins, bit-identity-checked before timing,
+// emitting {"bench":"simd",...} lines gated against BENCH_simd.json.
 
 #include <benchmark/benchmark.h>
 
@@ -31,7 +28,6 @@
 
 #include "bench_common.hpp"
 #include "leodivide/geo/angle.hpp"
-#include "leodivide/runtime/task_graph.hpp"
 #include "leodivide/runtime/thread_pool.hpp"
 
 #include "leodivide/core/longtail.hpp"
@@ -57,14 +53,12 @@
 #include "leodivide/sim/scheduler.hpp"
 #include "leodivide/sim/simulation.hpp"
 #include "leodivide/sim/workspace.hpp"
-#include "leodivide/snapshot/snapshot.hpp"
 #include "leodivide/stats/distributions.hpp"
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <thread>
 
 namespace {
@@ -732,7 +726,7 @@ void print_simd_case(const char* name, std::size_t n, RepTimes scalar,
             << "  simd:     " << simd.best_ms << " ms\n"
             << "  speedup:  " << scalar.best_ms / simd.best_ms << "x (median "
             << scalar.median_ms / simd.median_ms << "x)\n";
-  std::cout << "{\"bench\":\"graph\",\"case\":\"" << name << "\",\"n\":" << n
+  std::cout << "{\"bench\":\"simd\",\"case\":\"" << name << "\",\"n\":" << n
             << ",\"scalar_ms\":" << scalar.best_ms
             << ",\"simd_ms\":" << simd.best_ms
             << ",\"speedup\":" << scalar.best_ms / simd.best_ms
@@ -740,14 +734,14 @@ void print_simd_case(const char* name, std::size_t n, RepTimes scalar,
             << "}" << std::endl;
 }
 
-// The SIMD half of the `--graph` harness: the visibility mask and the
-// epoch rotation kernels against their
-// retained scalar twins over an 8192-satellite SoA, bit-compared before
-// anything is timed. Single-threaded, so the ratios are honest on any
-// host; the >= 2x gate on the mask kernel assumes the vector backend is
-// live (kernel_lanes() > 1), which the CI runners' x86-64 toolchain
-// provides.
-int run_graph_simd_cases() {
+// The `--simd` harness: the visibility mask and the epoch rotation kernels
+// against their retained scalar twins over a 2048-satellite SoA,
+// bit-compared before anything is timed. Single-threaded, so the ratios
+// are honest on any host; the >= 2x gate on the mask kernel assumes the
+// vector backend is live (kernel_lanes() > 1), which the CI runners'
+// x86-64 toolchain provides.
+int run_simd_harness() {
+  bench::banner("micro_perf: SIMD kernels vs scalar twins");
   // 2048 satellites keep the SoA L1-resident (3 x 16 KiB inputs), so the
   // ratios measure the kernels, not the cache hierarchy — 2048 is also the
   // right ballpark for a per-epoch shell slice.
@@ -845,108 +839,6 @@ int run_graph_simd_cases() {
   return rc;
 }
 
-// The `--graph` harness. Two halves:
-//
-// graph.pipeline — K independent scenario chains (synthetic generation ->
-// full analysis -> snapshot store) run strictly sequentially with
-// synchronous stores, vs TaskGraph-scheduled on a four-thread pool with
-// stores offloaded to the async I/O thread. Inner stage parallelism is
-// pinned to one thread (set_global_threads(1)) so the ratio isolates
-// exactly what the task-graph runtime adds: cross-chain overlap plus
-// compute/I/O overlap. Per-chain serialized results are checked
-// byte-identical between the two modes before anything is timed. Like the
-// market bench, the >= 1.3x gate needs real hardware threads — on a
-// single-core host the ratio degenerates to ~1x (CI-only gate).
-//
-// graph.simd.* — see run_graph_simd_cases above.
-int run_graph_harness() {
-  bench::banner("micro_perf: task-graph pipeline + SIMD kernels vs scalar");
-  constexpr std::size_t kChains = 4;
-  runtime::set_global_threads(1);  // chains overlap; inner stages serial
-
-  const std::filesystem::path cache_dir =
-      std::filesystem::temp_directory_path() / "leodivide_graph_bench";
-  std::filesystem::remove_all(cache_dir);
-  const snapshot::StageCache cache(cache_dir.string());
-
-  demand::GeneratorConfig configs[kChains];
-  snapshot::Fingerprint fps[kChains];
-  for (std::size_t k = 0; k < kChains; ++k) {
-    configs[k] = {.seed = 100 + static_cast<std::uint64_t>(k), .scale = 0.4};
-    fps[k] = snapshot::stage_fingerprint("bench.analysis");
-    snapshot::mix(fps[k], configs[k]);
-  }
-
-  // One sequential chain: generate, analyze, serialize; store via `store`.
-  const auto run_chain = [&](std::size_t k, std::string& blob_out,
-                             const auto& store) {
-    const demand::DemandProfile profile =
-        demand::SyntheticGenerator(configs[k]).generate_profile();
-    const core::AnalysisResults results = core::run_full_analysis(profile);
-    blob_out = snapshot::serialize(results);
-    store(k, blob_out);
-  };
-
-  std::cout << "  case: " << kChains
-            << " generate->analyze->store chains, pool(4) + async I/O\n";
-
-  // Byte-identity first: sequential/sync-store vs graph/async-store.
-  std::vector<std::string> blobs_seq(kChains), blobs_graph(kChains);
-  const auto run_sequential = [&] {
-    for (std::size_t k = 0; k < kChains; ++k) {
-      run_chain(k, blobs_seq[k], [&](std::size_t i, const std::string& blob) {
-        cache.store("bench.analysis", fps[i], blob);
-      });
-    }
-  };
-  const auto run_graph = [&](runtime::Executor& ex) {
-    snapshot::AsyncIo io;
-    runtime::TaskGraph graph;
-    for (std::size_t k = 0; k < kChains; ++k) {
-      graph.add_task("bench.chain", [&, k] {
-        run_chain(k, blobs_graph[k],
-                  [&](std::size_t i, const std::string& blob) {
-                    io.enqueue_store(cache, "bench.analysis", fps[i],
-                                     std::string(blob));
-                  });
-      });
-    }
-    graph.run(ex);
-    io.drain();  // the stores are part of the measured work
-  };
-
-  runtime::ThreadPool pool(4);
-  run_sequential();
-  run_graph(pool);
-  for (std::size_t k = 0; k < kChains; ++k) {
-    if (blobs_seq[k] != blobs_graph[k]) {
-      std::cerr << "FAIL: chain " << k
-                << " serialized results differ between sequential and "
-                   "graph runs\n";
-      std::filesystem::remove_all(cache_dir);
-      return 1;
-    }
-  }
-  std::cout << "  outputs:  byte-identical across modes ("
-            << blobs_seq[0].size() << " B/chain)\n";
-
-  const RepTimes seq = timed_reps_ms(5, run_sequential);
-  const RepTimes graphed = timed_reps_ms(5, [&] { run_graph(pool); });
-  std::filesystem::remove_all(cache_dir);
-  std::cout << "  seq:      " << seq.best_ms << " ms\n"
-            << "  graph:    " << graphed.best_ms << " ms\n"
-            << "  speedup:  " << seq.best_ms / graphed.best_ms << "x (median "
-            << seq.median_ms / graphed.median_ms << "x)\n";
-  std::cout << "{\"bench\":\"graph\",\"case\":\"pipeline\",\"chains\":"
-            << kChains << ",\"seq_ms\":" << seq.best_ms
-            << ",\"graph_ms\":" << graphed.best_ms
-            << ",\"speedup\":" << seq.best_ms / graphed.best_ms
-            << ",\"median_speedup\":" << seq.median_ms / graphed.median_ms
-            << "}" << std::endl;
-
-  return run_graph_simd_cases();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -960,7 +852,7 @@ int main(int argc, char** argv) {
   bool sim_event = false;
   bool serve_delta = false;
   bool market = false;
-  bool graph = false;
+  bool simd = false;
   std::size_t workers = leodivide::runtime::worker_count_from_env(4);
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
@@ -978,8 +870,8 @@ int main(int argc, char** argv) {
       serve_delta = true;
     } else if (arg == "--market") {
       market = true;
-    } else if (arg == "--graph") {
-      graph = true;
+    } else if (arg == "--simd") {
+      simd = true;
     } else if (leodivide::runtime::parse_workers_arg(argc, argv, i, workers)) {
       // Worker-pool flag (serve-delta concurrency smoke); consumed.
     } else if (obs::parse_cli_arg(obs_options, argc, argv, i)) {
@@ -991,8 +883,8 @@ int main(int argc, char** argv) {
   obs::apply(obs_options);
 
   int rc = 0;
-  if (graph) {
-    rc = run_graph_harness();
+  if (simd) {
+    rc = run_simd_harness();
   } else if (market) {
     rc = run_market_harness();
   } else if (serve_delta) {

@@ -1,8 +1,7 @@
 // National analysis: the full paper pipeline with dataset persistence.
 //
-//   $ ./national_analysis [--threads N] [--graph] [--trace FILE]
-//                         [--metrics[=FILE]] [--snapshot-dir DIR]
-//                         [output_dir]
+//   $ ./national_analysis [--threads N] [--trace FILE] [--metrics[=FILE]]
+//                         [--snapshot-dir DIR] [output_dir]
 //
 // Generates the calibrated national profile, saves it as CSV (cells +
 // counties) so it can be inspected or replaced with a real FCC Broadband
@@ -17,20 +16,14 @@
 // results are stored as LDSNAP blobs keyed by their exact inputs, so a
 // rerun with unchanged inputs skips generation and sizing entirely while
 // producing byte-identical outputs (see README.md, "Snapshots &
-// incremental re-runs"). `--graph` runs the same pipeline through the
-// cache-aware StageGraph instead of straight-line code: the stage DAG
-// (generate -> CSV round-trip -> analysis) is scheduled by the task-graph
-// runtime, root-stage cache loads are prefetched and stores run behind
-// compute on the async I/O thread. Every output file is byte-identical
-// either way (the CI snapshot-cache job diffs them). The run always ends
-// with one machine-readable bench line carrying wall time, stage
-// breakdown and snapshot hit/miss counts.
+// incremental re-runs"). The run always ends with one machine-readable
+// bench line carrying wall time, stage breakdown and snapshot hit/miss
+// counts.
 
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "leodivide/core/report.hpp"
@@ -51,7 +44,6 @@ int main(int argc, char** argv) {
 
   obs::Options obs_options = obs::options_from_env();
   fs::path out_dir = "national_analysis_out";
-  bool graph_mode = false;
   try {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -69,17 +61,14 @@ int main(int argc, char** argv) {
         std::cerr << "invalid --threads value: " << arg.substr(10) << '\n';
         return 2;
       }
-    } else if (arg == "--graph") {
-      graph_mode = true;
     } else if (obs::parse_cli_arg(obs_options, argc, argv, i)) {
       // Observability flag; consumed.
     } else if (snapshot::parse_cli_arg(argc, argv, i)) {
       // Snapshot cache flag; consumed.
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "unknown or malformed flag: " << arg
-                << "\nusage: national_analysis [--threads N] [--graph]"
-                   " [--trace FILE] [--metrics[=FILE]] [--snapshot-dir DIR]"
-                   " [output_dir]\n";
+                << "\nusage: national_analysis [--threads N] [--trace FILE]"
+                   " [--metrics[=FILE]] [--snapshot-dir DIR] [output_dir]\n";
       return 2;
     } else {
       out_dir = arg;
@@ -103,63 +92,6 @@ int main(int argc, char** argv) {
   auto generate = [&gen_config] {
     return demand::SyntheticGenerator{gen_config}.generate_profile();
   };
-  demand::DemandProfile loaded;
-  core::AnalysisResults results;
-
-  if (graph_mode) {
-    // Stage-graph mode: the same pipeline as the straight-line path below,
-    // expressed as a cache-aware DAG. The analysis stage's cache key binds
-    // to the generated-profile blob digest (the CSV round-trip between
-    // them is deterministic), root loads are prefetched through the async
-    // I/O thread and stores run behind compute; run() drains, so the cache
-    // is fully populated before the bench line prints.
-    std::cout << "[graph] generate -> csv round-trip -> analysis...\n\n";
-    std::optional<snapshot::AsyncIo> io;
-    if (cache != nullptr) io.emplace();
-    snapshot::StageGraph graph(cache, io.has_value() ? &*io : nullptr);
-    auto profile_stage = graph.add_stage(
-        "demand.profile", {},
-        [&gen_config](snapshot::Fingerprint& fp) {
-          snapshot::mix(fp, gen_config);
-        },
-        generate,
-        [](const demand::DemandProfile& p) { return snapshot::serialize(p); },
-        [](std::string_view blob) {
-          return snapshot::deserialize_profile(blob);
-        });
-    const runtime::TaskGraph::TaskId csv_task = graph.add_task(
-        "example.csv_roundtrip",
-        [&out_dir, &loaded, profile_stage] {
-          const demand::DemandProfile& p = profile_stage.value();
-          {
-            std::ofstream cells(out_dir / "cells.csv");
-            std::ofstream counties(out_dir / "counties.csv");
-            p.save_csv(cells, counties);
-          }
-          std::ifstream cells_in(out_dir / "cells.csv");
-          std::ifstream counties_in(out_dir / "counties.csv");
-          loaded = demand::DemandProfile::load_csv(cells_in, counties_in);
-        },
-        {profile_stage.id()});
-    auto analysis_stage = graph.add_stage(
-        "core.analysis", {profile_stage},
-        [](snapshot::Fingerprint& fp) {
-          snapshot::mix(fp, core::SizingModel{});
-          snapshot::mix(fp, core::AnalysisConfig{});
-        },
-        [&loaded] { return core::run_full_analysis(loaded); },
-        [](const core::AnalysisResults& r) { return snapshot::serialize(r); },
-        [](std::string_view blob) {
-          return snapshot::deserialize_analysis(blob);
-        },
-        {csv_task});
-    graph.run(runtime::global_executor());
-    std::cout << "      wrote " << (out_dir / "cells.csv") << " ("
-              << profile_stage.value().cell_count() << " cells) and "
-              << (out_dir / "counties.csv") << " ("
-              << profile_stage.value().counties().size() << " counties)\n";
-    results = analysis_stage.value();
-  } else {
   // 1. Generate (or restore) and persist the dataset.
   std::cout << "[1/4] generating calibrated national demand profile...\n";
   demand::DemandProfile profile;
@@ -189,11 +121,13 @@ int main(int argc, char** argv) {
   std::cout << "[2/4] reloading profile from CSV...\n";
   std::ifstream cells_in(out_dir / "cells.csv");
   std::ifstream counties_in(out_dir / "counties.csv");
-  loaded = demand::DemandProfile::load_csv(cells_in, counties_in);
+  const demand::DemandProfile loaded =
+      demand::DemandProfile::load_csv(cells_in, counties_in);
 
   // 3. Run (or restore) the complete analysis.
   std::cout << "[3/4] running the full analysis...\n\n";
   auto analyze = [&loaded] { return core::run_full_analysis(loaded); };
+  core::AnalysisResults results;
   if (cache != nullptr) {
     // The analysis output is a pure function of the (reloaded) profile
     // bytes plus the default model and sweep config, so all three form the
@@ -210,7 +144,6 @@ int main(int argc, char** argv) {
         });
   } else {
     results = analyze();
-  }
   }
   std::cout << core::render_report(results) << "\n";
 
@@ -267,8 +200,6 @@ int main(int argc, char** argv) {
   std::string line = obs::bench_line_json(
       "national_analysis", runtime::global_executor().concurrency(), wall_ms);
   line.pop_back();  // strip '}' to splice in the snapshot counters
-  line += ",\"graph\":";
-  line += graph_mode ? '1' : '0';
   line += ",\"snapshot_hits\":";
   line += std::to_string(cache != nullptr ? cache->hits() : 0);
   line += ",\"snapshot_misses\":";

@@ -11,7 +11,6 @@
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/runtime/map_reduce.hpp"
-#include "leodivide/runtime/task_graph.hpp"
 
 namespace leodivide::market {
 
@@ -312,17 +311,25 @@ MarketReport MarketSimulation::run(const demand::DemandProfile& profile,
   const std::size_t n = config_.operators.size();
   const SpectrumSplit split(config_.operators, config_.split);
   const afford::AffordabilityAnalyzer analyzer(profile);
-  std::vector<ZoneModels> zones;
-  std::vector<std::uint32_t> full_limits;
-  zones.reserve(n);
-  full_limits.reserve(n);
-  for (std::size_t o = 0; o < n; ++o) {
-    zones.push_back(zone_models(config_.operators[o], split, o,
+  const std::vector<ZoneModels> zones = [&] {
+    std::vector<ZoneModels> out;
+    out.reserve(n);
+    for (std::size_t o = 0; o < n; ++o) {
+      out.push_back(zone_models(config_.operators[o], split, o,
                                 config_.beamspread, config_.oversub_cap));
-    full_limits.push_back(core::max_locations_spread(
-        config_.operators[o].sizing_model().capacity, config_.beamspread,
-        config_.oversub_cap));
-  }
+    }
+    return out;
+  }();
+  const std::vector<std::uint32_t> full_limits = [&] {
+    std::vector<std::uint32_t> out;
+    out.reserve(n);
+    for (const OperatorConfig& op : config_.operators) {
+      out.push_back(core::max_locations_spread(op.sizing_model().capacity,
+                                               config_.beamspread,
+                                               config_.oversub_cap));
+    }
+    return out;
+  }();
   MarketReport report;
   report.policy = config_.split.policy;
   report.beamspread = config_.beamspread;
@@ -330,27 +337,29 @@ MarketReport MarketSimulation::run(const demand::DemandProfile& profile,
   report.operators.resize(n);
   // Operators are independent of each other *and* of the fairness report —
   // fairness depends only on the zone models, limits and split, never on
-  // operator outcomes — so all n + 1 units run as one dependency-free task
-  // graph: on a pool the fairness pass overlaps the operator pipelines
-  // instead of barriering behind them. Each node runs its inner loops
-  // serially and writes only its own slot, so the report lands in config
-  // order byte-identically at every thread count (golden-tested).
-  runtime::TaskGraph graph;
-  for (std::size_t i = 0; i < n; ++i) {
-    graph.add_task("market.operator",
-                   [&report, &profile, &analyzer, &split, &zones, this, i] {
-                     report.operators[i] =
-                         run_operator(profile, analyzer, split, config_,
-                                      zones[i], i, runtime::serial_executor());
-                   });
-  }
-  graph.add_task("market.fairness",
-                 [&report, &profile, &zones, &full_limits, &split] {
-                   report.fairness =
-                       compute_fairness(profile, zones, full_limits, split,
-                                        runtime::serial_executor());
-                 });
-  graph.run(executor);
+  // operator outcomes — so all n + 1 units run as one batch: task i < n
+  // evaluates operator i and task n the fairness pass, which on a pool
+  // overlaps the operator pipelines instead of barriering behind them. Each
+  // task runs its inner loops serially and writes only its own slot, so the
+  // report lands in config order byte-identically at every thread count
+  // (golden-tested), and a failure rethrows the lowest-indexed task's error.
+  executor.run_tasks(
+      n + 1,
+      // leolint:allow(parallel-capture): task i < n writes only report.operators[i], task n only report.fairness
+      [this, &report, &profile, &analyzer, &split, &zones, &full_limits,
+       n](std::size_t i) {
+        if (i < n) {
+          const obs::Span task_span("market.operator");
+          report.operators[i] =
+              run_operator(profile, analyzer, split, config_, zones[i], i,
+                           runtime::serial_executor());
+        } else {
+          const obs::Span task_span("market.fairness");
+          report.fairness = compute_fairness(profile, zones, full_limits,
+                                             split,
+                                             runtime::serial_executor());
+        }
+      });
   return report;
 }
 

@@ -25,38 +25,14 @@ namespace leodivide::obs {
 /// Nanoseconds since the process-wide trace epoch (steady clock).
 [[nodiscard]] std::uint64_t now_ns() noexcept;
 
-/// Event kind in the Chrome trace-event model: complete slices ("ph":"X")
-/// from spans, and flow arrows ("ph":"s" / "ph":"f") that connect a
-/// producing slice to a consuming slice across threads — how task-graph
-/// edges become visible in the trace viewer.
-enum class TracePhase : std::uint8_t {
-  kComplete = 0,
-  kFlowStart = 1,
-  kFlowEnd = 2,
-};
-
-/// One recorded event. `name` must have static storage duration. Flow
-/// events carry a matching `flow_id` (start/end pairs share it) and a zero
+/// One recorded complete ("ph":"X") event. `name` must have static storage
 /// duration.
 struct TraceEvent {
   const char* name = nullptr;
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;
   std::uint32_t tid = 0;  ///< small stable per-thread id, first-use order
-  TracePhase phase = TracePhase::kComplete;
-  std::uint64_t flow_id = 0;  ///< pairs "s" with "f"; 0 for complete events
 };
-
-/// Records the producing end of a flow arrow ("ph":"s"). Call from inside
-/// the span that produced the value so the viewer binds the arrow to that
-/// slice. No-op unless tracing is enabled. `name` must have static storage
-/// duration.
-void record_flow_start(const char* name, std::uint64_t flow_id) noexcept;
-
-/// Records the consuming end of a flow arrow ("ph":"f", binding point
-/// "enclosing slice"). Call from inside the consuming span. No-op unless
-/// tracing is enabled.
-void record_flow_end(const char* name, std::uint64_t flow_id) noexcept;
 
 /// Process-wide trace sink. Threads append to their own buffers (guarded by
 /// a per-buffer mutex so export can run concurrently with stragglers);

@@ -6,7 +6,7 @@
 // target flags (see src/CMakeLists.txt), so the `_scalar` entry points stay
 // a genuine element-at-a-time reference — both the bit-identity oracle for
 // tests/test_simd.cpp and the honest denominator for the bench ratio in
-// BENCH_graph.json. The arithmetic is the same expression, in the same
+// BENCH_simd.json. The arithmetic is the same expression, in the same
 // order, as the vector kernels' per-lane operations; with -ffp-contract=off
 // set globally the results are bit-identical by construction.
 

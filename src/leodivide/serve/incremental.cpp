@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <string>
+#include <string_view>
 
 #include "leodivide/core/beamspread.hpp"
 #include "leodivide/core/served_fraction.hpp"
@@ -105,18 +106,27 @@ void count_metric(const char* name, std::uint64_t n = 1) {
   obs::registry().counter(name).add(n);
 }
 
+// A partial through the disk spill when a cache is attached (restored from
+// its blob, or computed and stored), computed directly when caching is off.
+template <typename Compute, typename Serialize, typename Deserialize>
+auto cached_or_compute(snapshot::StageCache* cache, std::string_view stage,
+                       const snapshot::Fingerprint& fp, Compute&& compute,
+                       Serialize&& serialize, Deserialize&& deserialize)
+    -> decltype(compute()) {
+  if (cache == nullptr) return compute();
+  return cache->get_or_compute(stage, fp, compute, serialize, deserialize);
+}
+
 }  // namespace
 
 IncrementalEngine::IncrementalEngine(demand::DemandProfile baseline,
                                      EngineConfig config,
-                                     snapshot::StageCache* cache,
-                                     snapshot::AsyncIo* io)
+                                     snapshot::StageCache* cache)
     : config_(config),
       grid_(),
       profile_(std::move(baseline)),
       applier_(profile_, grid_, config_.cell_resolution),
-      cache_(cache),
-      io_(io) {
+      cache_(cache) {
   const auto& cells = profile_.cells();
   cell_region_.reserve(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -237,25 +247,20 @@ const IncrementalEngine::SizingPartial& IncrementalEngine::sizing_partial(
   fp.mix_f64(beamspread)
       .mix_f64(oversub_cap)
       .mix_u64(regions_[region].digest);
-  // staged_compute handles both the cached and cache-off (null) cases, and
-  // routes the blob store through io_ when one is attached so the query
-  // never waits on the filesystem.
-  const auto [best, found] =
-      snapshot::staged_compute(
-          cache_, io_, "serve.sizing", fp,
-          [&] {
-            ++stats_.region_recomputes;
-            count_metric("serve.region_recomputes");
-            const SizingPartial fresh = compute_sizing_partial(
-                regions_[region], beamspread, oversub_cap);
-            return std::pair<core::SizingResult, bool>{fresh.best,
-                                                       fresh.found};
-          },
-          [](const std::pair<core::SizingResult, bool>& v) {
-            return serialize_sizing_blob(v.first, v.second);
-          },
-          deserialize_sizing_blob)
-          .value;
+  const auto [best, found] = cached_or_compute(
+      cache_, "serve.sizing", fp,
+      [&] {
+        ++stats_.region_recomputes;
+        count_metric("serve.region_recomputes");
+        const SizingPartial fresh = compute_sizing_partial(
+            regions_[region], beamspread, oversub_cap);
+        return std::pair<core::SizingResult, bool>{fresh.best,
+                                                   fresh.found};
+      },
+      [](const std::pair<core::SizingResult, bool>& v) {
+        return serialize_sizing_blob(v.first, v.second);
+      },
+      deserialize_sizing_blob);
   p.best = best;
   p.found = found;
   p.valid = true;
@@ -296,22 +301,20 @@ const IncrementalEngine::PeakPartial& IncrementalEngine::peak_partial(
   snapshot::Fingerprint fp =
       snapshot::substage_fingerprint("serve.peak", "region");
   fp.mix_u64(regions_[region].digest);
-  const auto [max_count, best_cell_bits, cell_index] =
-      snapshot::staged_compute(
-          cache_, io_, "serve.peak", fp,
-          [&] {
-            ++stats_.region_recomputes;
-            count_metric("serve.region_recomputes");
-            const PeakPartial fresh = compute_peak_partial(regions_[region]);
-            return std::tuple<std::uint32_t, std::uint64_t, std::size_t>{
-                fresh.max_count, fresh.best_cell_bits, fresh.cell_index};
-          },
-          [](const std::tuple<std::uint32_t, std::uint64_t, std::size_t>& v) {
-            return serialize_peak_blob(std::get<0>(v), std::get<1>(v),
-                                       std::get<2>(v));
-          },
-          deserialize_peak_blob)
-          .value;
+  const auto [max_count, best_cell_bits, cell_index] = cached_or_compute(
+      cache_, "serve.peak", fp,
+      [&] {
+        ++stats_.region_recomputes;
+        count_metric("serve.region_recomputes");
+        const PeakPartial fresh = compute_peak_partial(regions_[region]);
+        return std::tuple<std::uint32_t, std::uint64_t, std::size_t>{
+            fresh.max_count, fresh.best_cell_bits, fresh.cell_index};
+      },
+      [](const std::tuple<std::uint32_t, std::uint64_t, std::size_t>& v) {
+        return serialize_peak_blob(std::get<0>(v), std::get<1>(v),
+                                   std::get<2>(v));
+      },
+      deserialize_peak_blob);
   p.max_count = max_count;
   p.best_cell_bits = best_cell_bits;
   p.cell_index = cell_index;
@@ -422,22 +425,20 @@ const IncrementalEngine::ServedPartial& IncrementalEngine::served_partial(
   snapshot::Fingerprint fp =
       snapshot::substage_fingerprint("serve.served", "region");
   fp.mix_u64(limit).mix_u64(regions_[region].digest);
-  const auto [served_cells, served_locations] =
-      snapshot::staged_compute(
-          cache_, io_, "serve.served", fp,
-          [&] {
-            ++stats_.region_recomputes;
-            count_metric("serve.region_recomputes");
-            const ServedPartial fresh =
-                compute_served_partial(regions_[region], limit);
-            return std::pair<std::uint64_t, std::uint64_t>{
-                fresh.served_cells, fresh.served_locations};
-          },
-          [](const std::pair<std::uint64_t, std::uint64_t>& v) {
-            return serialize_served_blob(v.first, v.second);
-          },
-          deserialize_served_blob)
-          .value;
+  const auto [served_cells, served_locations] = cached_or_compute(
+      cache_, "serve.served", fp,
+      [&] {
+        ++stats_.region_recomputes;
+        count_metric("serve.region_recomputes");
+        const ServedPartial fresh =
+            compute_served_partial(regions_[region], limit);
+        return std::pair<std::uint64_t, std::uint64_t>{
+            fresh.served_cells, fresh.served_locations};
+      },
+      [](const std::pair<std::uint64_t, std::uint64_t>& v) {
+        return serialize_served_blob(v.first, v.second);
+      },
+      deserialize_served_blob);
   p.served_cells = served_cells;
   p.served_locations = served_locations;
   p.valid = true;

@@ -42,7 +42,6 @@
 #include "leodivide/core/sizing.hpp"
 #include "leodivide/demand/delta.hpp"
 #include "leodivide/hex/hexgrid.hpp"
-#include "leodivide/snapshot/async.hpp"
 #include "leodivide/snapshot/cache.hpp"
 
 namespace leodivide::serve {
@@ -111,14 +110,11 @@ struct ServedFractionAnswer {
 class IncrementalEngine {
  public:
   /// Takes ownership of the baseline profile. `cache` (optional, borrowed,
-  /// may be nullptr) persists per-region partials across restarts. `io`
-  /// (optional, borrowed; only used when `cache` is set) offloads partial
-  /// blob stores to the async I/O thread so queries never wait on the
-  /// filesystem — stores are visible after AsyncIo::drain() (or its
-  /// destructor), and both `cache` and `io` must outlive the engine.
+  /// may be nullptr; must outlive the engine) persists per-region partials
+  /// across restarts. Stores are synchronous, so a partial is on disk once
+  /// the query that computed it returns.
   IncrementalEngine(demand::DemandProfile baseline, EngineConfig config,
-                    snapshot::StageCache* cache = nullptr,
-                    snapshot::AsyncIo* io = nullptr);
+                    snapshot::StageCache* cache = nullptr);
 
   IncrementalEngine(const IncrementalEngine&) = delete;
   IncrementalEngine& operator=(const IncrementalEngine&) = delete;
@@ -223,7 +219,6 @@ class IncrementalEngine {
   demand::DemandProfile profile_;
   demand::DeltaApplier applier_;  // borrows profile_ and grid_
   snapshot::StageCache* cache_;
-  snapshot::AsyncIo* io_;
 
   std::vector<Region> regions_;
   std::vector<std::size_t> cell_region_;  ///< cell index -> region index

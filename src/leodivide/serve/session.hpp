@@ -13,7 +13,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -59,10 +58,9 @@ struct ServiceConfig {
 class ServiceState {
  public:
   /// Takes ownership of the baseline profile; `cache` (optional, borrowed)
-  /// persists the engine's per-region partials across restarts. When a
-  /// cache is attached the state also owns an async I/O thread so partial
-  /// blob stores run behind request handling; the thread drains when the
-  /// state is destroyed, so every store is on disk by then.
+  /// persists the engine's per-region partials across restarts. Stores are
+  /// synchronous: every partial a request computed is on disk when its
+  /// reply is returned.
   ServiceState(demand::DemandProfile baseline, ServiceConfig config,
                snapshot::StageCache* cache = nullptr);
 
@@ -92,9 +90,6 @@ class ServiceState {
   bool shutdown_ = false;
 
   ServiceConfig config_;
-  // Declared before engine_: the engine borrows the I/O thread, so it must
-  // be destroyed (and drained) after the engine.
-  std::unique_ptr<snapshot::AsyncIo> io_;
   IncrementalEngine engine_;
   PlanTable plans_;
   std::vector<demand::DeltaOp> journal_;

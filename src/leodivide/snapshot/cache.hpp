@@ -93,13 +93,10 @@ class StageCache {
     return store_failures_.load(std::memory_order_relaxed);
   }
 
+ private:
   /// Reclassifies the last load() hit as a miss (blob failed validation).
-  /// Call after a load()ed blob fails deserialization outside
-  /// get_or_compute — async.hpp's staged_compute uses this to keep the
-  /// hit/miss counters truthful on its manual load path.
   void note_bad_blob() const noexcept;
 
- private:
   std::string dir_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};

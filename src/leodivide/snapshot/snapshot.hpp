@@ -1,13 +1,9 @@
 #pragma once
 // Umbrella header for the snapshot subsystem: LDSNAP binary artifact
 // serialization (format.hpp, artifacts.hpp), input fingerprints
-// (fingerprint.hpp), the content-addressed stage cache (cache.hpp), the
-// async I/O thread (async.hpp) and the cache-aware stage DAG
-// (stage_graph.hpp).
+// (fingerprint.hpp) and the content-addressed stage cache (cache.hpp).
 
 #include "leodivide/snapshot/artifacts.hpp"
-#include "leodivide/snapshot/async.hpp"
 #include "leodivide/snapshot/cache.hpp"
 #include "leodivide/snapshot/fingerprint.hpp"
 #include "leodivide/snapshot/format.hpp"
-#include "leodivide/snapshot/stage_graph.hpp"

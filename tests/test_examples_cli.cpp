@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdio>
 #include <filesystem>
+#include <ostream>
 #include <string>
 
 #include <unistd.h>
@@ -85,6 +86,20 @@ INSTANTIATE_TEST_SUITE_P(AllExamples, ExamplesCli,
                            return std::string(info.param);
                          });
 
+// national_analysis has one pipeline and no `--graph` mode: the flag must
+// be refused like any other typo, not silently run the pipeline.
+TEST(ExamplesCli, NationalAnalysisRejectsGraphFlag) {
+  const std::string binary = example_path("national_analysis");
+  if (!fs::exists(binary)) {
+    GTEST_SKIP() << binary << " not built";
+  }
+  const RunResult r = run_command(binary + " --graph");
+  EXPECT_EQ(r.exit_code, 2) << "--graph accepted:\n" << r.output;
+  EXPECT_NE(r.output.find("--graph"), std::string::npos)
+      << "national_analysis did not name the offending flag:\n"
+      << r.output;
+}
+
 TEST(ExamplesCli, MarketCompareBadScaleRejected) {
   const std::string binary = example_path("market_compare");
   if (!fs::exists(binary)) {
@@ -133,6 +148,15 @@ struct MetricsCase {
   const char* binary;
   const char* args;
 };
+
+// Without a printer gtest shows the two pointers' bytes, which change with
+// every load address, so the listed test names would differ per build.
+void PrintTo(const MetricsCase& c, std::ostream* os) {
+  *os << c.binary;
+  if (*c.args != '\0') {
+    *os << ' ' << c.args;
+  }
+}
 
 class ExamplesMetrics : public ::testing::TestWithParam<MetricsCase> {};
 

@@ -348,7 +348,8 @@ std::string run_serialized(const MarketConfig& config,
 
 TEST(MarketDeterminismTest, ByteIdenticalAcrossThreadCounts) {
   for (const SplitPolicy policy :
-       {SplitPolicy::kExclusive, SplitPolicy::kFairShare}) {
+       {SplitPolicy::kExclusive, SplitPolicy::kProportional,
+        SplitPolicy::kFairShare}) {
     MarketConfig config;
     config.operators = default_market();
     config.split.policy = policy;

@@ -235,7 +235,8 @@ TEST(ThreadPool, NestedRunTasksRunsInlineInIndexOrder) {
 }
 
 // Nested parallel_for over a pool must also degrade to inline execution —
-// this is what makes TaskGraph node bodies free to call parallel helpers.
+// this is what makes pool task bodies (the market's per-operator tasks, for
+// one) free to call parallel helpers.
 TEST(ThreadPool, NestedParallelForWritesEverySlot) {
   runtime::ThreadPool pool(4);
   std::vector<int> out(4 * 64, 0);
