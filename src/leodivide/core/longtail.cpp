@@ -95,8 +95,7 @@ std::vector<LongTailPoint> longtail_curve(const demand::DemandProfile& profile,
   // over). If the profile never had a multi-beam cell, emit the peak cell's
   // single-beam requirement so callers always get one point.
   if (curve.empty()) {
-    const auto order = profile.cells_by_count_desc();
-    const std::size_t peak = order.front();
+    const std::size_t peak = peak_cell_index(profile);
     LongTailPoint point;
     point.locations_unserved = unserved;
     point.beams_on_binding = 1;

@@ -4,30 +4,45 @@
 
 namespace leodivide::core {
 
+double ServedTally::cell_fraction(std::uint64_t total_cells) const noexcept {
+  return total_cells == 0 ? 1.0
+                          : static_cast<double>(served_cells) /
+                                static_cast<double>(total_cells);
+}
+
+double ServedTally::location_fraction(
+    std::uint64_t total_locations) const noexcept {
+  return total_locations == 0 ? 1.0
+                              : static_cast<double>(served_locations) /
+                                    static_cast<double>(total_locations);
+}
+
+namespace {
+
+ServedTally served_tally(const demand::DemandProfile& profile,
+                         const SatelliteCapacityModel& model,
+                         double beamspread, double oversub) {
+  ServedTally tally;
+  if (profile.cell_count() == 0) return tally;
+  const std::uint32_t limit = max_locations_spread(model, beamspread, oversub);
+  for (const auto& cell : profile.cells()) tally.step(cell.underserved, limit);
+  return tally;
+}
+
+}  // namespace
+
 double served_cell_fraction(const demand::DemandProfile& profile,
                             const SatelliteCapacityModel& model,
                             double beamspread, double oversub) {
-  if (profile.cell_count() == 0) return 1.0;
-  const std::uint32_t limit = max_locations_spread(model, beamspread, oversub);
-  std::size_t served = 0;
-  for (const auto& cell : profile.cells()) {
-    if (cell.underserved <= limit) ++served;
-  }
-  return static_cast<double>(served) /
-         static_cast<double>(profile.cell_count());
+  return served_tally(profile, model, beamspread, oversub)
+      .cell_fraction(profile.cell_count());
 }
 
 double served_location_fraction(const demand::DemandProfile& profile,
                                 const SatelliteCapacityModel& model,
                                 double beamspread, double oversub) {
-  const std::uint64_t total = profile.total_locations();
-  if (total == 0) return 1.0;
-  const std::uint32_t limit = max_locations_spread(model, beamspread, oversub);
-  std::uint64_t served = 0;
-  for (const auto& cell : profile.cells()) {
-    if (cell.underserved <= limit) served += cell.underserved;
-  }
-  return static_cast<double>(served) / static_cast<double>(total);
+  return served_tally(profile, model, beamspread, oversub)
+      .location_fraction(profile.total_locations());
 }
 
 std::vector<std::vector<double>> served_fraction_grid(

@@ -1,13 +1,11 @@
 #include "leodivide/core/sizing.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/orbit/density.hpp"
-#include "leodivide/runtime/map_reduce.hpp"
+#include "leodivide/runtime/executor.hpp"
 
 namespace leodivide::core {
 
@@ -33,21 +31,37 @@ double satellites_from_k(const SizingModel& model, double k, double beamspread,
   return k / cells;
 }
 
+SizingResult binding_at(const SizingModel& model,
+                        const demand::CellDemand& cell, std::size_t index,
+                        double beamspread, std::uint32_t beams) {
+  SizingResult r;
+  r.binding_cell_index = index;
+  r.binding_lat_deg = cell.center.lat_deg;
+  r.beams_on_binding = beams;
+  r.satellites = satellites_for_binding_cell(model, cell.center.lat_deg,
+                                             beamspread, beams);
+  return r;
+}
+
+std::size_t peak_cell_index(const demand::DemandProfile& profile) {
+  PeakFold peak;
+  for (std::size_t i = 0; i < profile.cell_count(); ++i) {
+    peak.step(profile.cells()[i], i);
+  }
+  if (!peak.found) {
+    throw std::invalid_argument("peak_cell_index: empty profile");
+  }
+  return peak.index;
+}
+
 SizingResult size_full_service(const demand::DemandProfile& profile,
                                const SizingModel& model, double beamspread) {
   if (profile.cell_count() == 0) {
     throw std::invalid_argument("size_full_service: empty profile");
   }
-  const auto order = profile.cells_by_count_desc();
-  const std::size_t peak = order.front();
-  const auto beams = model.capacity.plan().beams_per_full_cell();
-  SizingResult r;
-  r.binding_cell_index = peak;
-  r.binding_lat_deg = profile.cells()[peak].center.lat_deg;
-  r.beams_on_binding = beams;
-  r.satellites =
-      satellites_for_binding_cell(model, r.binding_lat_deg, beamspread, beams);
-  return r;
+  const std::size_t peak = peak_cell_index(profile);
+  return binding_at(model, profile.cells()[peak], peak, beamspread,
+                    model.capacity.plan().beams_per_full_cell());
 }
 
 SizingResult size_with_cap(const demand::DemandProfile& profile,
@@ -62,56 +76,11 @@ SizingResult size_with_cap(const demand::DemandProfile& profile,
         obs::registry().counter("core.size_with_cap.cells");
     cells.add(profile.cell_count());
   }
-  const std::uint32_t cap_locs = model.capacity.max_locations_at(oversub_cap);
-  // Sharded first-strict-max over the cells: each shard keeps its earliest
-  // maximum and the in-order merge keeps the globally earliest, so the
-  // binding cell matches the serial scan for every thread count.
-  struct Shard {
-    SizingResult best;
-    bool found = false;
-  };
-  const Shard reduced = runtime::map_reduce<Shard>(
-      executor, 0, profile.cell_count(),
-      [&profile, cap_locs, &model, beamspread, oversub_cap](
-          Shard& shard, std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const auto& cell = profile.cells()[i];
-          const std::uint32_t served = std::min(cell.underserved, cap_locs);
-          const std::uint32_t beams =
-              model.capacity.beams_needed(served, oversub_cap);
-          if (beams < 2) continue;  // demand-driven binding needs >= 2 beams
-          const double sats = satellites_for_binding_cell(
-              model, cell.center.lat_deg, beamspread, beams);
-          if (!shard.found || sats > shard.best.satellites) {
-            shard.found = true;
-            shard.best.satellites = sats;
-            shard.best.binding_lat_deg = cell.center.lat_deg;
-            shard.best.beams_on_binding = beams;
-            shard.best.binding_cell_index = i;
-          }
-        }
-      },
-      [](Shard& into, Shard&& from) {
-        if (from.found &&
-            (!into.found || from.best.satellites > into.best.satellites)) {
-          into = from;
-        }
-      },
-      /*grain=*/1024);
-  SizingResult best = reduced.best;
-  const bool found = reduced.found;
-  if (!found) {
-    // No cell needs more than one beam at this cap: the peak cell binds
-    // with a single beam.
-    const auto order = profile.cells_by_count_desc();
-    const std::size_t peak = order.front();
-    best.binding_cell_index = peak;
-    best.binding_lat_deg = profile.cells()[peak].center.lat_deg;
-    best.beams_on_binding = 1;
-    best.satellites = satellites_for_binding_cell(model, best.binding_lat_deg,
-                                                  beamspread, 1);
-  }
-  return best;
+  const CellCapacity capacity{&model,
+                              model.capacity.max_locations_at(oversub_cap)};
+  return size_binding(
+      profile, [capacity](const demand::CellDemand&) { return capacity; },
+      beamspread, oversub_cap, executor);
 }
 
 SizingResult size_with_cap(const demand::DemandProfile& profile,

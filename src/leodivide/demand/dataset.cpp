@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -161,18 +160,6 @@ std::uint32_t DemandProfile::peak_cell_count() const noexcept {
   std::uint32_t best = 0;
   for (const auto& c : cells_) best = std::max(best, c.underserved);
   return best;
-}
-
-std::vector<std::size_t> DemandProfile::cells_by_count_desc() const {
-  std::vector<std::size_t> order(cells_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (cells_[a].underserved != cells_[b].underserved) {
-      return cells_[a].underserved > cells_[b].underserved;
-    }
-    return cells_[a].cell < cells_[b].cell;  // stable, deterministic tiebreak
-  });
-  return order;
 }
 
 void DemandProfile::save_csv(std::ostream& cells_out,

@@ -72,9 +72,6 @@ class DemandProfile {
   /// The largest per-cell count (the "peak cell" of P2).
   [[nodiscard]] std::uint32_t peak_cell_count() const noexcept;
 
-  /// Cells sorted by count descending (indices into cells()).
-  [[nodiscard]] std::vector<std::size_t> cells_by_count_desc() const;
-
   /// Writes/reads the profile as two CSV streams (cells, counties).
   void save_csv(std::ostream& cells_out, std::ostream& counties_out) const;
   [[nodiscard]] static DemandProfile load_csv(std::istream& cells_in,

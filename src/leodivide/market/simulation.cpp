@@ -1,13 +1,13 @@
 #include "leodivide/market/simulation.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "leodivide/core/beamspread.hpp"
+#include "leodivide/core/served_fraction.hpp"
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/runtime/map_reduce.hpp"
@@ -48,10 +48,6 @@ struct ZoneModel {
 
 using ZoneModels = std::vector<std::optional<ZoneModel>>;
 
-bool is_one(double v) noexcept {
-  return std::bit_cast<std::uint64_t>(v) == std::bit_cast<std::uint64_t>(1.0);
-}
-
 ZoneModels zone_models(const OperatorConfig& op, const SpectrumSplit& split,
                        std::size_t index, double beamspread,
                        double oversub_cap) {
@@ -70,69 +66,6 @@ ZoneModels zone_models(const OperatorConfig& op, const SpectrumSplit& split,
   return zones;
 }
 
-/// core::size_with_cap generalized to a per-cell (zone) capacity model.
-/// Mirrors its shard algebra, grain and tie-breaks exactly, so a uniform
-/// full share reproduces the core result bit-for-bit.
-core::SizingResult scaled_size_with_cap(const demand::DemandProfile& profile,
-                                        const ZoneModels& zones,
-                                        const SpectrumSplit& split,
-                                        double beamspread, double oversub_cap,
-                                        runtime::Executor& executor) {
-  struct Shard {
-    core::SizingResult best;
-    bool found = false;
-  };
-  const Shard reduced = runtime::map_reduce<Shard>(
-      executor, 0, profile.cell_count(),
-      [&profile, &zones, &split, beamspread, oversub_cap](
-          Shard& shard, std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const auto& cell = profile.cells()[i];
-          const auto& zone =
-              zones[split.priority_operator(cell.center.lat_deg)];
-          if (!zone) continue;  // no spectrum here: the cell cannot bind
-          const std::uint32_t served =
-              std::min(cell.underserved, zone->cap_locs);
-          const std::uint32_t beams =
-              zone->model.capacity.beams_needed(served, oversub_cap);
-          if (beams < 2) continue;  // demand-driven binding needs >= 2 beams
-          const double sats = core::satellites_for_binding_cell(
-              zone->model, cell.center.lat_deg, beamspread, beams);
-          if (!shard.found || sats > shard.best.satellites) {
-            shard.found = true;
-            shard.best.satellites = sats;
-            shard.best.binding_lat_deg = cell.center.lat_deg;
-            shard.best.beams_on_binding = beams;
-            shard.best.binding_cell_index = i;
-          }
-        }
-      },
-      [](Shard& into, Shard&& from) {
-        if (from.found &&
-            (!into.found || from.best.satellites > into.best.satellites)) {
-          into = from;
-        }
-      },
-      /*grain=*/1024);
-  if (reduced.found) return reduced.best;
-  // No cell needs more than one beam: the largest cell with any usable
-  // spectrum binds with a single beam (core's fallback, zone-aware).
-  for (std::size_t i : profile.cells_by_count_desc()) {
-    const auto& cell = profile.cells()[i];
-    const auto& zone = zones[split.priority_operator(cell.center.lat_deg)];
-    if (!zone) continue;
-    core::SizingResult best;
-    best.binding_cell_index = i;
-    best.binding_lat_deg = cell.center.lat_deg;
-    best.beams_on_binding = 1;
-    best.satellites = core::satellites_for_binding_cell(
-        zone->model, best.binding_lat_deg, beamspread, 1);
-    return best;
-  }
-  throw std::invalid_argument(
-      "market: operator has no usable spectrum over the profile");
-}
-
 OperatorOutcome run_operator(const demand::DemandProfile& profile,
                              const afford::AffordabilityAnalyzer& analyzer,
                              const SpectrumSplit& split,
@@ -143,38 +76,28 @@ OperatorOutcome run_operator(const demand::DemandProfile& profile,
   OperatorOutcome out;
   out.name = op.name;
   out.economic_share = split.economic_share(index);
-  const core::SizingModel model = op.sizing_model();
-  out.full = core::size_full_service(profile, model, config.beamspread);
-  if (split.uniform(index) && is_one(split.share(index, 0))) {
-    // Full spectrum everywhere: delegate to the single-operator pipeline —
-    // this is the strict-generalization guarantee the golden tests pin.
-    out.capped = core::size_with_cap(profile, model, config.beamspread,
-                                     config.oversub_cap, inner);
-  } else {
-    out.capped = scaled_size_with_cap(profile, zones, split, config.beamspread,
-                                      config.oversub_cap, inner);
+  out.full = core::size_full_service(profile, op.sizing_model(),
+                                     config.beamspread);
+  // core's binding fold with the zone's capacity per cell. A full share is
+  // sizing_model(1.0) == sizing_model(), so an exclusive operator gets
+  // core::size_with_cap's result bit for bit.
+  out.capped = core::size_binding(
+      profile,
+      [&zones, &split](const demand::CellDemand& cell) {
+        const auto& zone = zones[split.priority_operator(cell.center.lat_deg)];
+        return zone ? core::CellCapacity{&zone->model, zone->cap_locs}
+                    : core::CellCapacity{};
+      },
+      config.beamspread, config.oversub_cap, inner);
+  // core's served tally with the zone's limit per cell.
+  core::ServedTally served;
+  for (const auto& cell : profile.cells()) {
+    const auto& zone = zones[split.priority_operator(cell.center.lat_deg)];
+    served.step(cell.underserved, zone ? zone->served_limit : 0);
   }
-  // Served fractions, mirroring core::served_cell_fraction /
-  // served_location_fraction with the per-zone limit.
-  {
-    std::size_t served_cells = 0;
-    std::uint64_t served_locations = 0;
-    for (const auto& cell : profile.cells()) {
-      const auto& zone = zones[split.priority_operator(cell.center.lat_deg)];
-      const std::uint32_t limit = zone ? zone->served_limit : 0;
-      if (cell.underserved <= limit) {
-        ++served_cells;
-        served_locations += cell.underserved;
-      }
-    }
-    out.served_cell_fraction = static_cast<double>(served_cells) /
-                               static_cast<double>(profile.cell_count());
-    const std::uint64_t total = profile.total_locations();
-    out.served_location_fraction =
-        total == 0 ? 1.0
-                   : static_cast<double>(served_locations) /
-                         static_cast<double>(total);
-  }
+  out.served_cell_fraction = served.cell_fraction(profile.cell_count());
+  out.served_location_fraction =
+      served.location_fraction(profile.total_locations());
   const core::SizingModel econ = op.sizing_model(out.economic_share);
   out.longtail = core::longtail_curve(profile, econ, config.beamspread,
                                       config.oversub_cap);
@@ -232,7 +155,7 @@ FairnessReport compute_fairness(const demand::DemandProfile& profile,
           for (std::size_t o = 0; o < n; ++o) {
             const auto& zone = zones[o][p];
             const std::uint32_t limit = zone ? zone->served_limit : 0;
-            if (cell.underserved > limit) continue;
+            if (!core::ServedTally::served(cell.underserved, limit)) continue;
             ++shard.ops[o].cells_served;
             shard.ops[o].locations_served += cell.underserved;
             // Winner: most capacity headroom; earliest index on exact ties.
@@ -249,7 +172,8 @@ FairnessReport compute_fairness(const demand::DemandProfile& profile,
             shard.unserved_locations += cell.underserved;
             bool full_spectrum_could = false;
             for (std::size_t o = 0; o < n; ++o) {
-              if (cell.underserved <= full_limits[o]) {
+              if (core::ServedTally::served(cell.underserved,
+                                            full_limits[o])) {
                 full_spectrum_could = true;
                 break;
               }

@@ -4,9 +4,9 @@
 // (region_resolution) covering the service cells — and every query is a
 // deterministic merge of per-region partial results:
 //
-//   resize          per-region first-strict-max sizing candidates
-//   served fraction per-region served-cell / served-location integer sums
-//   peak cell       per-region (count desc, cell-id asc) maxima
+//   resize          per-region core::BindingFold candidates
+//   served fraction per-region core::ServedTally integer sums
+//   peak cell       per-region core::PeakFold maxima
 //
 // Each region carries a content digest (a snapshot::Fingerprint over its
 // member cells). A partial is valid only while its recorded digest matches
@@ -20,11 +20,12 @@
 // Determinism contract: every answer is byte-identical to the plain
 // library call (core::size_full_service / size_with_cap /
 // served_*_fraction, afford::AffordabilityAnalyzer) on the mutated
-// profile, at every thread count. The merges reproduce the libraries'
-// serial scan orders exactly: sizing keeps the earliest strict maximum
-// (ties broken toward the smaller global cell index), the peak merge uses
-// cells_by_count_desc's (count desc, cell-id asc) comparator, and the
-// fraction sums are integer partials, which are partition-invariant.
+// profile, at every thread count. Each partial is a core fold stepped over
+// the region's members, and each answer merges the regions' folds and
+// applies core's rule: the binding fold and its single-beam fallback, the
+// peak fold, the served tally and its divisions. Those folds give the same
+// result for any partition of the cells, so the regions' interleaved
+// partitions answer as the library's serial scan does.
 // --paranoid mode re-runs the full computation on every query and throws
 // ParanoiaError on any bit difference.
 
@@ -33,12 +34,14 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "leodivide/afford/affordability.hpp"
+#include "leodivide/core/served_fraction.hpp"
 #include "leodivide/core/sizing.hpp"
 #include "leodivide/demand/delta.hpp"
 #include "leodivide/hex/hexgrid.hpp"
@@ -156,27 +159,17 @@ class IncrementalEngine {
     std::uint64_t digest = 0;          ///< content fingerprint of members
   };
 
-  // Per-region partials. `digest` records the region content each was
+  // A per-region fold. `digest` records the region content it was
   // computed against; a partial is live only while it matches.
-  struct SizingPartial {
+  template <typename Fold>
+  struct Partial {
     bool valid = false;
     std::uint64_t digest = 0;
-    bool found = false;  ///< region has a demand-driven (>= 2 beam) cell
-    core::SizingResult best;
+    Fold fold;
   };
-  struct PeakPartial {
-    bool valid = false;
-    std::uint64_t digest = 0;
-    std::uint32_t max_count = 0;
-    std::uint64_t best_cell_bits = 0;
-    std::size_t cell_index = 0;
-  };
-  struct ServedPartial {
-    bool valid = false;
-    std::uint64_t digest = 0;
-    std::uint64_t served_cells = 0;
-    std::uint64_t served_locations = 0;
-  };
+  using SizingPartials = std::vector<Partial<core::BindingFold>>;
+  using PeakPartials = std::vector<Partial<core::PeakFold>>;
+  using ServedPartials = std::vector<Partial<core::ServedTally>>;
 
   using SizeKey = std::pair<std::uint64_t, std::uint64_t>;  // bit patterns
   using AffordKey = std::tuple<std::string, std::uint64_t, std::uint64_t,
@@ -188,20 +181,16 @@ class IncrementalEngine {
   [[nodiscard]] std::uint64_t region_content_digest(
       const Region& region) const;
 
-  const SizingPartial& sizing_partial(std::size_t region, double beamspread,
-                                      double oversub_cap,
-                                      std::vector<SizingPartial>& partials);
-  const PeakPartial& peak_partial(std::size_t region);
-  const ServedPartial& served_partial(std::size_t region, std::uint32_t limit,
-                                      std::vector<ServedPartial>& partials);
+  /// Region `region`'s fold in `memo`: from memory while its digest
+  /// matches, else restored from the `stage` disk spill or recomputed by
+  /// `step(fold, cell, index)` over the members. `mix_params(fp)` adds the
+  /// query parameters to the sub-stage fingerprint.
+  template <typename Fold, typename MixParams, typename Step>
+  const Fold& region_partial(std::vector<Partial<Fold>>& memo,
+                             std::size_t region, std::string_view stage,
+                             const MixParams& mix_params, const Step& step);
 
-  [[nodiscard]] SizingPartial compute_sizing_partial(
-      const Region& region, double beamspread, double oversub_cap) const;
-  [[nodiscard]] PeakPartial compute_peak_partial(const Region& region) const;
-  [[nodiscard]] ServedPartial compute_served_partial(
-      const Region& region, std::uint32_t limit) const;
-
-  /// Index of the global peak cell (cells_by_count_desc().front()).
+  /// Index of the global peak cell (core::peak_cell_index).
   [[nodiscard]] std::size_t merged_peak_index();
 
   void rebuild_analyzer_if_stale();
@@ -228,9 +217,9 @@ class IncrementalEngine {
 
   std::uint64_t total_locations_ = 0;
 
-  std::map<SizeKey, std::vector<SizingPartial>> sizing_memo_;
-  std::vector<PeakPartial> peak_memo_;
-  std::map<std::uint32_t, std::vector<ServedPartial>> served_memo_;
+  std::map<SizeKey, SizingPartials> sizing_memo_;
+  PeakPartials peak_memo_;
+  std::map<std::uint32_t, ServedPartials> served_memo_;
 
   std::optional<afford::AffordabilityAnalyzer> analyzer_;
   std::uint64_t analyzer_digest_ = 0;

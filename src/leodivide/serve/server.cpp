@@ -21,9 +21,6 @@ namespace {
 // The sockets API wants sockaddr*; the lint bans reinterpret_cast, so go
 // through void* — well-defined here because sockaddr_in and sockaddr are
 // layout-compatible for this use by POSIX contract.
-[[nodiscard]] const sockaddr* as_sockaddr(const sockaddr_in& addr) noexcept {
-  return static_cast<const sockaddr*>(static_cast<const void*>(&addr));
-}
 [[nodiscard]] sockaddr* as_sockaddr(sockaddr_in& addr) noexcept {
   return static_cast<sockaddr*>(static_cast<void*>(&addr));
 }

@@ -243,6 +243,59 @@ TEST(Sizing, CappedBindingIsTheSouthernmostFourBeamCell) {
             3465U);
 }
 
+// At 1000:1 one beam carries every cell of the profile, so no cell is
+// demand-driven and the single-beam fallback binds: the peak cell (count
+// descending, cell id ascending) with one beam.
+TEST(Sizing, CappedFallsBackToThePeakCellOnOneBeam) {
+  const SizingModel model;
+  const demand::DemandProfile& profile = national_profile();
+  constexpr double kOneBeamCap = 1000.0;
+  std::size_t peak = 0;
+  for (std::size_t i = 1; i < profile.cell_count(); ++i) {
+    const auto& c = profile.cells()[i];
+    const auto& p = profile.cells()[peak];
+    if (c.underserved > p.underserved ||
+        (c.underserved == p.underserved && c.cell < p.cell)) {
+      peak = i;
+    }
+  }
+  ASSERT_EQ(model.capacity.beams_needed(profile.cells()[peak].underserved,
+                                        kOneBeamCap),
+            1U);
+  const SizingResult r = size_with_cap(profile, model, 2.0, kOneBeamCap);
+  EXPECT_EQ(r.beams_on_binding, 1U);
+  EXPECT_EQ(r.binding_cell_index, peak);
+  EXPECT_EQ(r.binding_lat_deg, profile.cells()[peak].center.lat_deg);
+  EXPECT_EQ(r.satellites, satellites_for_binding_cell(
+                              model, r.binding_lat_deg, 2.0, 1));
+}
+
+TEST(Sizing, PeakCellBreaksCountTiesTowardTheSmallerCellId) {
+  demand::CountyTable counties;
+  counties.add({"90001", {}, 1.0, 0});
+  std::vector<demand::CellDemand> cells(3);
+  cells[0].cell = hex::CellId(5, {2, 0});
+  cells[0].underserved = 30;
+  cells[1].cell = hex::CellId(5, {0, 0});
+  cells[1].underserved = 10;
+  cells[2].cell = hex::CellId(5, {1, 0});
+  cells[2].underserved = 30;
+  const demand::DemandProfile profile(std::move(cells), std::move(counties));
+  ASSERT_LT(profile.cells()[2].cell, profile.cells()[0].cell);
+  EXPECT_EQ(peak_cell_index(profile), 2U);
+  // Folds over the partition {0, 1} | {2} merge to the same peak in
+  // either order.
+  PeakFold low, high;
+  low.step(profile.cells()[0], 0);
+  low.step(profile.cells()[1], 1);
+  high.step(profile.cells()[2], 2);
+  PeakFold forward = low;
+  forward.merge(high);
+  high.merge(low);
+  EXPECT_EQ(forward.index, 2U);
+  EXPECT_EQ(high.index, 2U);
+}
+
 TEST(Sizing, MoreBeamspreadAlwaysShrinksConstellation) {
   const SizingModel model;
   double prev = 1e18;

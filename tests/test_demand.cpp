@@ -7,6 +7,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "leodivide/core/sizing.hpp"
 #include "leodivide/demand/aggregate.hpp"
 #include "leodivide/demand/calibration.hpp"
 #include "leodivide/demand/generator.hpp"
@@ -173,9 +174,7 @@ TEST(DemandProfileTest, OrderingAndPeak) {
   const DemandProfile profile(std::move(cells), std::move(counties));
   EXPECT_EQ(profile.peak_cell_count(), 30U);
   EXPECT_EQ(profile.total_locations(), 60U);
-  const auto order = profile.cells_by_count_desc();
-  EXPECT_EQ(profile.cells()[order[0]].underserved, 30U);
-  EXPECT_EQ(profile.cells()[order[2]].underserved, 10U);
+  EXPECT_EQ(core::peak_cell_index(profile), 1U);
 }
 
 TEST(DemandProfileTest, CsvRoundTrip) {

@@ -253,4 +253,35 @@ TEST(ExamplesCli, NationalAnalysisOutputsMatchGoldens) {
   fs::remove_all(dir);
 }
 
+// The three-split market at the default seed and scale: pins the
+// exclusive, proportional and FairShare capped sizing, served fractions
+// and fairness reports byte for byte.
+TEST(ExamplesCli, MarketCompareOutputsMatchGoldens) {
+  using leodivide::testing::Golden;
+  const std::string binary = example_path("market_compare");
+  if (!fs::exists(binary)) {
+    GTEST_SKIP() << binary << " not built";
+  }
+  const fs::path dir = fs::temp_directory_path() /
+                       ("leodivide_market_golden_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  const std::pair<const char*, Golden> expected[] = {
+      {"operators.csv", {0x0cd6603df2a800b6ULL, 974}},
+      {"fairness.csv", {0xda451476eaeb0f10ULL, 232}},
+      {"market.json", {0x5404b8fb5b88268bULL, 3127}},
+      {"market_exclusive.ldsnap", {0x3ad3b21d0e510a16ULL, 471612}},
+      {"market_proportional.ldsnap", {0x3ee83d441da9cd21ULL, 1124888}},
+      {"market_fairshare.ldsnap", {0x89c2c3d3a5ac0262ULL, 1124888}},
+  };
+  const RunResult r = run_command(binary + " --threads 2 " + dir.string());
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  for (const auto& [name, want] : expected) {
+    const Golden got = leodivide::testing::golden_of(
+        leodivide::testing::read_bytes((dir / name).string()));
+    EXPECT_EQ(got, want) << name << " "
+                         << leodivide::testing::to_literal(got);
+  }
+  fs::remove_all(dir);
+}
+
 }  // namespace

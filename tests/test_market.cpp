@@ -495,5 +495,61 @@ TEST(MarketReportTest, FullPriorityWeightStillRuns) {
   EXPECT_LT(report.operators[0].served_cell_fraction, 1.0);
 }
 
+TEST(MarketReportTest, SingleBeamFallbackSkipsCellsWithoutSpectrum) {
+  // At 1000:1 no cell needs a second beam, so each operator's capped
+  // sizing falls back to one beam on its largest cell. With
+  // priority_weight = 1 the operator that does not hold the peak cell's
+  // zone has no spectrum there: its binding cell is the largest cell in
+  // a zone where it does.
+  MarketConfig config;
+  config.operators = contested_pair();
+  config.split.policy = SplitPolicy::kFairShare;
+  config.split.priority_weight = 1.0;
+  config.oversub_cap = 1000.0;
+  const demand::DemandProfile& profile = small_profile();
+  const SpectrumSplit split(config.operators, config.split);
+  const auto before = [&profile](std::size_t a, std::size_t b) {
+    const auto& ca = profile.cells()[a];
+    const auto& cb = profile.cells()[b];
+    return ca.underserved > cb.underserved ||
+           (ca.underserved == cb.underserved && ca.cell < cb.cell);
+  };
+  std::size_t peak = 0;
+  for (std::size_t i = 1; i < profile.cell_count(); ++i) {
+    if (before(i, peak)) peak = i;
+  }
+  const std::size_t peak_zone =
+      split.priority_operator(profile.cells()[peak].center.lat_deg);
+  const std::size_t o = 1 - peak_zone;
+  ASSERT_TRUE(same_bits(split.share(o, peak_zone), 0.0));
+  bool found = false;
+  std::size_t expected = 0;
+  for (std::size_t i = 0; i < profile.cell_count(); ++i) {
+    const double lat = profile.cells()[i].center.lat_deg;
+    if (split.share(o, split.priority_operator(lat)) <= 0.0) continue;
+    if (!found || before(i, expected)) expected = i;
+    found = true;
+  }
+  ASSERT_TRUE(found);
+  const core::SizingModel model =
+      config.operators[o].sizing_model(split.share(o, o));
+  ASSERT_EQ(model.capacity.beams_needed(profile.cells()[peak].underserved,
+                                        config.oversub_cap),
+            1U);
+
+  const MarketReport report = MarketSimulation(config).run(profile);
+  const core::SizingResult& capped = report.operators[o].capped;
+  EXPECT_EQ(capped.beams_on_binding, 1U);
+  EXPECT_EQ(capped.binding_cell_index, expected);
+  EXPECT_NE(capped.binding_cell_index, peak);
+  const double lat = profile.cells()[expected].center.lat_deg;
+  EXPECT_TRUE(same_bits(capped.binding_lat_deg, lat));
+  EXPECT_TRUE(same_bits(
+      capped.satellites,
+      core::satellites_for_binding_cell(model, lat, config.beamspread, 1)));
+  // The peak zone's holder keeps the plain peak-cell fallback.
+  EXPECT_EQ(report.operators[peak_zone].capped.binding_cell_index, peak);
+}
+
 }  // namespace
 }  // namespace leodivide::market

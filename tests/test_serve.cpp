@@ -223,6 +223,61 @@ TEST(ServeIncremental, EmptyProfileConventions) {
   EXPECT_EQ(served.total_cells, 0U);
 }
 
+TEST(ServeIncremental, SingleBeamFallbackMatchesLibrary) {
+  // At 1000:1 one beam carries every cell, so the capped answer comes from
+  // the single-beam fallback on the merged peak cell.
+  const demand::DemandProfile base = small_profile();
+  serve::IncrementalEngine engine(base, serve::EngineConfig{});
+  constexpr double kOneBeamCap = 1000.0;
+  const core::SizingModel model{};
+  const serve::ResizeAnswer got = engine.query_resize(10.0, kOneBeamCap);
+  EXPECT_EQ(got.capped.beams_on_binding, 1U);
+  EXPECT_EQ(got.capped, core::size_with_cap(base, model, 10.0, kOneBeamCap,
+                                            runtime::serial_executor()));
+  EXPECT_EQ(got.full, core::size_full_service(base, model, 10.0));
+}
+
+TEST(ServeIncremental, BitEqualRequirementsBindTheSmallestIndex) {
+  // Cells alternate between two regions by index (A, B, A, B). Cells 1-3
+  // share a latitude and a count, so their requirements are bit-equal;
+  // region A's candidate is cell 2 and it merges first, but the binding
+  // cell must be cell 1, as in the serial scan.
+  const hex::HexGrid grid;
+  const serve::EngineConfig config{};
+  const auto children = [&grid, &config](const geo::GeoPoint& at) {
+    return grid.children_of(grid.cell_of(at, config.region_resolution),
+                            config.cell_resolution);
+  };
+  const std::vector<hex::CellId> a = children({40.0, -100.0});
+  const std::vector<hex::CellId> b = children({40.0, -85.0});
+  ASSERT_GE(a.size(), 2U);
+  ASSERT_GE(b.size(), 2U);
+  const hex::CellId ids[] = {a[0], b[0], a[1], b[1]};
+  std::vector<demand::CellDemand> cells(4);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    cells[i].cell = ids[i];
+    cells[i].center = {40.0, -100.0 + static_cast<double>(i)};
+    cells[i].underserved = i == 0 ? 10 : 3000;
+  }
+  demand::CountyTable counties;
+  counties.add({"90001", {}, 50000.0, 0});
+  const demand::DemandProfile profile(std::move(cells), std::move(counties));
+  const auto region = [&](std::size_t i) {
+    return grid.parent_of(ids[i], config.region_resolution);
+  };
+  ASSERT_EQ(region(0), region(2));
+  ASSERT_EQ(region(1), region(3));
+  ASSERT_NE(region(0), region(1));
+
+  serve::IncrementalEngine engine(profile, config);
+  ASSERT_EQ(engine.region_count(), 2U);
+  const serve::ResizeAnswer got = engine.query_resize(10.0, 20.0);
+  EXPECT_GE(got.capped.beams_on_binding, 2U);
+  EXPECT_EQ(got.capped.binding_cell_index, 1U);
+  EXPECT_EQ(got.capped, core::size_with_cap(profile, config.model, 10.0, 20.0,
+                                            runtime::serial_executor()));
+}
+
 TEST(ServeIncremental, ParanoidModeAcceptsCorrectAnswers) {
   const demand::DemandProfile base = small_profile();
   serve::EngineConfig config;
