@@ -14,9 +14,6 @@
 // `--market` it runs the three-operator default market serially and on a
 // three-thread pool, verifies the reports byte-identical, and emits
 // {"bench":"market.operators",...} lines gated against BENCH_market.json.
-// With `--simd` it runs the SIMD visibility/rotation kernels against
-// their retained scalar twins, bit-identity-checked before timing,
-// emitting {"bench":"simd",...} lines gated against BENCH_simd.json.
 
 #include <benchmark/benchmark.h>
 
@@ -37,7 +34,6 @@
 #include "leodivide/event/engine.hpp"
 #include "leodivide/hex/polyfill.hpp"
 #include "leodivide/hex/traversal.hpp"
-#include "leodivide/orbit/kernels.hpp"
 #include "leodivide/orbit/propagate.hpp"
 #include "leodivide/orbit/visibility.hpp"
 #include "leodivide/orbit/walker.hpp"
@@ -55,10 +51,7 @@
 #include "leodivide/sim/workspace.hpp"
 #include "leodivide/stats/distributions.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
-#include <cstring>
 #include <thread>
 
 namespace {
@@ -347,27 +340,6 @@ double best_of_ms(int reps, const Fn& fn) {
     if (r == 0 || ms < best) best = ms;
   }
   return best;
-}
-
-// Best-of plus median-of-`reps` wall time in milliseconds. The best-of is
-// the gated low-noise estimator; the median shows how far a typical run
-// sits from it (bench_check.py reports `median_speedup` informationally).
-// Use an odd `reps` so the median is an actual observation.
-struct RepTimes {
-  double best_ms;
-  double median_ms;
-};
-template <typename Fn>
-RepTimes timed_reps_ms(int reps, const Fn& fn) {
-  std::vector<double> ms;
-  ms.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const bench::WallTimer timer;
-    fn();
-    ms.push_back(timer.elapsed_ms());
-  }
-  std::sort(ms.begin(), ms.end());
-  return {ms.front(), ms[ms.size() / 2]};
 }
 
 // The `--sim-schedule` kernel-comparison harness. Returns the process exit
@@ -719,126 +691,6 @@ int run_market_harness() {
   return 0;
 }
 
-// Emits one gated JSON line for a kernel-vs-scalar comparison.
-void print_simd_case(const char* name, std::size_t n, RepTimes scalar,
-                     RepTimes simd) {
-  std::cout << "  scalar:   " << scalar.best_ms << " ms\n"
-            << "  simd:     " << simd.best_ms << " ms\n"
-            << "  speedup:  " << scalar.best_ms / simd.best_ms << "x (median "
-            << scalar.median_ms / simd.median_ms << "x)\n";
-  std::cout << "{\"bench\":\"simd\",\"case\":\"" << name << "\",\"n\":" << n
-            << ",\"scalar_ms\":" << scalar.best_ms
-            << ",\"simd_ms\":" << simd.best_ms
-            << ",\"speedup\":" << scalar.best_ms / simd.best_ms
-            << ",\"median_speedup\":" << scalar.median_ms / simd.median_ms
-            << "}" << std::endl;
-}
-
-// The `--simd` harness: the visibility mask and the epoch rotation kernels
-// against their retained scalar twins over a 2048-satellite SoA,
-// bit-compared before anything is timed. Single-threaded, so the ratios
-// are honest on any host; the >= 2x gate on the mask kernel assumes the
-// vector backend is live (kernel_lanes() > 1), which the CI runners'
-// x86-64 toolchain provides.
-int run_simd_harness() {
-  bench::banner("micro_perf: SIMD kernels vs scalar twins");
-  // 2048 satellites keep the SoA L1-resident (3 x 16 KiB inputs), so the
-  // ratios measure the kernels, not the cache hierarchy — 2048 is also the
-  // right ballpark for a per-epoch shell slice.
-  constexpr std::size_t kSats = 2048;
-  constexpr int kIters = 1600;  // timed fn = kIters kernel calls
-  // 25 deg minimum elevation at the 550 km shell — the pipeline's real
-  // visibility threshold (same coverage-cone derivation BeamScheduler
-  // uses: psi = acos(ratio * cos(e)) - e with ratio = R / (R + alt)).
-  const double kElevRad = geo::deg2rad(25.0);
-  const double kRatio =
-      geo::kEarthRadiusKm /
-      (geo::kEarthRadiusKm + orbit::starlink_shell1().altitude_km);
-  const double cos_psi =
-      std::cos(std::acos(kRatio * std::cos(kElevRad)) - kElevRad);
-  std::cout << "  backend:  " << orbit::kernel_backend() << " ("
-            << orbit::kernel_lanes() << " lane(s))\n";
-
-  // SoA of unit satellite radials spread over the sphere, plus one cell.
-  stats::Pcg32 rng(0x5EEDu);
-  std::vector<double> ux(kSats), uy(kSats), uz(kSats);
-  for (std::size_t i = 0; i < kSats; ++i) {
-    const double z = 2.0 * rng.next_double() - 1.0;
-    const double phi = 2.0 * geo::kPi * rng.next_double();
-    const double rxy = std::sqrt(std::max(0.0, 1.0 - z * z));
-    ux[i] = rxy * std::cos(phi);
-    uy[i] = rxy * std::sin(phi);
-    uz[i] = z;
-  }
-  const geo::Vec3 cell =
-      geo::spherical_to_cartesian({39.5, -98.35}, 1.0);  // unit radial
-
-  int rc = 0;
-  {  // visible_mask vs visible_mask_scalar
-    std::cout << "  case: visible_mask over " << kSats << " sats\n";
-    std::vector<std::uint8_t> mask(kSats), mask_ref(kSats);
-    orbit::visible_mask(cell.x, cell.y, cell.z, ux.data(), uy.data(),
-                        uz.data(), kSats, cos_psi, mask.data());
-    orbit::visible_mask_scalar(cell.x, cell.y, cell.z, ux.data(), uy.data(),
-                               uz.data(), kSats, cos_psi, mask_ref.data());
-    if (std::memcmp(mask.data(), mask_ref.data(), kSats) != 0) {
-      std::cerr << "FAIL: visible_mask disagrees with scalar twin\n";
-      rc = 1;
-    } else {
-      std::cout << "  outputs:  bit-identical to scalar\n";
-      const RepTimes scalar = timed_reps_ms(5, [&] {
-        for (int it = 0; it < kIters; ++it) {
-          orbit::visible_mask_scalar(cell.x, cell.y, cell.z, ux.data(),
-                                     uy.data(), uz.data(), kSats, cos_psi,
-                                     mask_ref.data());
-          benchmark::DoNotOptimize(mask_ref.data());
-        }
-      });
-      const RepTimes simd = timed_reps_ms(5, [&] {
-        for (int it = 0; it < kIters; ++it) {
-          orbit::visible_mask(cell.x, cell.y, cell.z, ux.data(), uy.data(),
-                              uz.data(), kSats, cos_psi, mask.data());
-          benchmark::DoNotOptimize(mask.data());
-        }
-      });
-      print_simd_case("simd.visible_mask", kSats, scalar, simd);
-    }
-  }
-  {  // rotate_about_z vs rotate_about_z_scalar (out-of-place)
-    std::cout << "  case: rotate_about_z over " << kSats << " sats\n";
-    const double c = std::cos(0.123456789);
-    const double s = std::sin(0.123456789);
-    std::vector<double> rx(kSats), ry(kSats), rx_ref(kSats), ry_ref(kSats);
-    orbit::rotate_about_z(ux.data(), uy.data(), c, s, kSats, rx.data(),
-                          ry.data());
-    orbit::rotate_about_z_scalar(ux.data(), uy.data(), c, s, kSats,
-                                 rx_ref.data(), ry_ref.data());
-    if (std::memcmp(rx.data(), rx_ref.data(), kSats * sizeof(double)) != 0 ||
-        std::memcmp(ry.data(), ry_ref.data(), kSats * sizeof(double)) != 0) {
-      std::cerr << "FAIL: rotate_about_z disagrees with scalar twin\n";
-      rc = 1;
-    } else {
-      std::cout << "  outputs:  bit-identical to scalar\n";
-      const RepTimes scalar = timed_reps_ms(5, [&] {
-        for (int it = 0; it < kIters; ++it) {
-          orbit::rotate_about_z_scalar(ux.data(), uy.data(), c, s, kSats,
-                                       rx_ref.data(), ry_ref.data());
-          benchmark::DoNotOptimize(rx_ref.data());
-        }
-      });
-      const RepTimes simd = timed_reps_ms(5, [&] {
-        for (int it = 0; it < kIters; ++it) {
-          orbit::rotate_about_z(ux.data(), uy.data(), c, s, kSats, rx.data(),
-                                ry.data());
-          benchmark::DoNotOptimize(rx.data());
-        }
-      });
-      print_simd_case("simd.rotate", kSats, scalar, simd);
-    }
-  }
-  return rc;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -852,7 +704,6 @@ int main(int argc, char** argv) {
   bool sim_event = false;
   bool serve_delta = false;
   bool market = false;
-  bool simd = false;
   std::size_t workers = leodivide::runtime::worker_count_from_env(4);
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
@@ -870,8 +721,6 @@ int main(int argc, char** argv) {
       serve_delta = true;
     } else if (arg == "--market") {
       market = true;
-    } else if (arg == "--simd") {
-      simd = true;
     } else if (leodivide::runtime::parse_workers_arg(argc, argv, i, workers)) {
       // Worker-pool flag (serve-delta concurrency smoke); consumed.
     } else if (obs::parse_cli_arg(obs_options, argc, argv, i)) {
@@ -883,9 +732,7 @@ int main(int argc, char** argv) {
   obs::apply(obs_options);
 
   int rc = 0;
-  if (simd) {
-    rc = run_simd_harness();
-  } else if (market) {
+  if (market) {
     rc = run_market_harness();
   } else if (serve_delta) {
     rc = run_serve_delta_harness(workers);

@@ -67,8 +67,8 @@ TEST(CapacityModel, BeamsNeededLadder) {
 
 TEST(CapacityModel, RejectsBadOversub) {
   const SatelliteCapacityModel model;
-  EXPECT_THROW(model.max_locations_at(0.0), std::invalid_argument);
-  EXPECT_THROW(model.beams_needed(10, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)model.max_locations_at(0.0), std::invalid_argument);
+  EXPECT_THROW((void)model.beams_needed(10, -1.0), std::invalid_argument);
 }
 
 TEST(CapacityModel, RequiredOversubscriptionIsLinear) {
@@ -121,7 +121,7 @@ TEST(Beamspread, CellServedCriterion) {
   const SatelliteCapacityModel model;
   EXPECT_TRUE(cell_served(model, 693, 5.0, 20.0));
   EXPECT_FALSE(cell_served(model, 694, 5.0, 20.0));
-  EXPECT_THROW(cell_served(model, 1, 1.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)cell_served(model, 1, 1.0, 0.0), std::invalid_argument);
 }
 
 // ----------------------------------------------------------- served fraction ----
@@ -311,9 +311,9 @@ TEST(Sizing, RejectsEmptyProfileAndBadK) {
   counties.add({"90001", {}, 1.0, 0});
   const demand::DemandProfile empty({}, std::move(counties));
   const SizingModel model;
-  EXPECT_THROW(size_full_service(empty, model, 1.0), std::invalid_argument);
-  EXPECT_THROW(size_with_cap(empty, model, 1.0, 20.0), std::invalid_argument);
-  EXPECT_THROW(satellites_from_k(model, 0.0, 1.0, 4), std::invalid_argument);
+  EXPECT_THROW((void)size_full_service(empty, model, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)size_with_cap(empty, model, 1.0, 20.0), std::invalid_argument);
+  EXPECT_THROW((void)satellites_from_k(model, 0.0, 1.0, 4), std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- longtail ----
@@ -363,7 +363,7 @@ TEST(LongTail, BudgetLookupSemantics) {
   EXPECT_NEAR(satellites_for_unserved_budget(curve, 5103),
               curve.front().satellites, 1e-9);
   // Below the residue: impossible.
-  EXPECT_THROW(satellites_for_unserved_budget(curve, 0),
+  EXPECT_THROW((void)satellites_for_unserved_budget(curve, 0),
                std::invalid_argument);
   // A huge budget reaches the one-beam floor.
   EXPECT_NEAR(satellites_for_unserved_budget(curve, 100000000ULL),

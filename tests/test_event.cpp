@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "golden_hash.hpp"
 #include "leodivide/demand/dataset.hpp"
 #include "leodivide/event/engine.hpp"
 #include "leodivide/event/event.hpp"
@@ -260,7 +261,8 @@ TEST(EventQueue, PopOrderIsSortedAndPushOrderInvariant) {
     std::vector<Event> permuted = events;
     stats::Pcg32 shuffle_rng(shuffle_seed);
     for (std::size_t i = permuted.size(); i > 1; --i) {
-      std::swap(permuted[i - 1], permuted[shuffle_rng.next_below(i)]);
+      std::swap(permuted[i - 1],
+                permuted[shuffle_rng.next_below(static_cast<std::uint32_t>(i))]);
     }
     for (const Event& ev : permuted) queue.push(ev);
     EXPECT_TRUE(drain(queue) == forward);
@@ -479,6 +481,26 @@ TEST(EventTraceSnapshot, LiveRunRoundTripsExactly) {
   // Sampling the restored trace must reproduce the original projection —
   // the cached-blob-replaces-recomputation contract.
   EXPECT_EQ(sample_epochs(restored), sample_epochs(trace));
+}
+
+// The full event trace of a small fixed run, pinned byte-for-byte by
+// digest. The 132-satellite shell spans two of propagate_all's 128-satellite
+// blocks, so the blocked rotation the engine calls at every boundary is
+// pinned on a full block and a tail.
+TEST(EventTraceSnapshot, RunTraceMatchesGolden) {
+  using leodivide::testing::Golden;
+  const auto profile = band_profile(29, 25, -55.0, 55.0);
+  sim::SimulationConfig config = fine_config(900.0, 7.5);
+  config.shell = {53.0, 550.0, 12, 11, 1};
+  EventSimulation event_sim(config, profile);
+  const Golden want{0xe1f1a67ada3c9061ULL, 76148};
+  const Golden serial = leodivide::testing::golden_of(
+      snapshot::serialize(event_sim.run_trace(runtime::serial_executor())));
+  EXPECT_EQ(serial, want) << leodivide::testing::to_literal(serial);
+  runtime::ThreadPool pool4(4);
+  const Golden threads4 = leodivide::testing::golden_of(
+      snapshot::serialize(event_sim.run_trace(pool4)));
+  EXPECT_EQ(threads4, want) << leodivide::testing::to_literal(threads4);
 }
 
 }  // namespace

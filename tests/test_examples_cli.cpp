@@ -82,8 +82,8 @@ INSTANTIATE_TEST_SUITE_P(AllExamples, ExamplesCli,
                                            "market_compare",
                                            "region_study",
                                            "analysis_client"),
-                         [](const auto& info) {
-                           return std::string(info.param);
+                         [](const auto& test_info) {
+                           return std::string(test_info.param);
                          });
 
 // national_analysis has one pipeline and no `--graph` mode: the flag must
@@ -216,7 +216,7 @@ INSTANTIATE_TEST_SUITE_P(
                     "--batch --scale 0.01 --script %DIR%/script.txt "
                     "--out %DIR%/answers.txt"},
         MetricsCase{"ldsnap", "verify %DIR%/snap.ldsnap"}),
-    [](const auto& info) { return std::string(info.param.binary); });
+    [](const auto& test_info) { return std::string(test_info.param.binary); });
 
 // The full seed-42 pipeline, pinned byte for byte. The digests are those
 // of the stream and printf encoders, which the to_chars encoders must

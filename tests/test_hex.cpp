@@ -130,8 +130,8 @@ TEST(HexGridTest, GlobalCellCountRes5) {
 }
 
 TEST(HexGridTest, RejectsBadResolution) {
-  EXPECT_THROW(edge_length_km(-1), std::out_of_range);
-  EXPECT_THROW(edge_length_km(16), std::out_of_range);
+  EXPECT_THROW((void)edge_length_km(-1), std::out_of_range);
+  EXPECT_THROW((void)edge_length_km(16), std::out_of_range);
 }
 
 TEST(HexGridTest, CellOfCenterRoundTrip) {
@@ -180,8 +180,8 @@ TEST(HexGridTest, ParentContainsChildCenter) {
 TEST(HexGridTest, ParentRejectsFinerTarget) {
   const HexGrid grid;
   const CellId id = grid.cell_of({38.0, -100.0}, 5);
-  EXPECT_THROW(grid.parent_of(id, 5), std::invalid_argument);
-  EXPECT_THROW(grid.parent_of(id, 7), std::invalid_argument);
+  EXPECT_THROW((void)grid.parent_of(id, 5), std::invalid_argument);
+  EXPECT_THROW((void)grid.parent_of(id, 7), std::invalid_argument);
 }
 
 TEST(HexGridTest, ChildrenRoundTripToParent) {
@@ -266,7 +266,7 @@ TEST(Traversal, LineConnectsEndpoints) {
 }
 
 TEST(Traversal, GridDistanceRejectsMixedResolutions) {
-  EXPECT_THROW(grid_distance(CellId(5, {0, 0}), CellId(6, {0, 0})),
+  EXPECT_THROW((void)grid_distance(CellId(5, {0, 0}), CellId(6, {0, 0})),
                std::invalid_argument);
 }
 

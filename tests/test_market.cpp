@@ -49,13 +49,13 @@ TEST(OperatorCostsTest, AnnualCostDecomposition) {
   // 10 satellites: capex = 10*1500 + 10000 = 25000;
   // annual = 25000/5 + 0.1*25000 = 5000 + 2500.
   EXPECT_DOUBLE_EQ(costs.annual_cost_usd(10.0), 7500.0);
-  EXPECT_THROW(costs.annual_cost_usd(-1.0), std::invalid_argument);
+  EXPECT_THROW((void)costs.annual_cost_usd(-1.0), std::invalid_argument);
 }
 
 TEST(OperatorCostsTest, RejectsBadParameters) {
   OperatorCosts costs;
   costs.satellite_lifetime_years = 0.0;
-  EXPECT_THROW(costs.annual_cost_usd(10.0), std::invalid_argument);
+  EXPECT_THROW((void)costs.annual_cost_usd(10.0), std::invalid_argument);
 }
 
 TEST(OperatorTest, PresetsValidate) {
@@ -141,7 +141,7 @@ TEST(SplitTest, PolicyNamesRoundTrip) {
         SplitPolicy::kFairShare}) {
     EXPECT_EQ(split_policy_from_string(to_string(p)), p);
   }
-  EXPECT_THROW(split_policy_from_string("oligopoly"), std::invalid_argument);
+  EXPECT_THROW((void)split_policy_from_string("oligopoly"), std::invalid_argument);
 }
 
 TEST(SplitTest, ExclusiveGivesEveryOperatorFullShare) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "leodivide/geo/angle.hpp"
+#include "leodivide/geo/ecef.hpp"
 #include "leodivide/geo/greatcircle.hpp"
 #include "leodivide/orbit/density.hpp"
 #include "leodivide/orbit/footprint.hpp"
@@ -252,9 +256,9 @@ TEST(Footprint, NadirAngleBelowHorizonLimit) {
 }
 
 TEST(Footprint, RejectsBadInputs) {
-  EXPECT_THROW(coverage_central_angle_rad(0.0, 25.0), std::invalid_argument);
-  EXPECT_THROW(coverage_central_angle_rad(550.0, 90.0), std::invalid_argument);
-  EXPECT_THROW(cells_in_footprint(550.0, 25.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)coverage_central_angle_rad(0.0, 25.0), std::invalid_argument);
+  EXPECT_THROW((void)coverage_central_angle_rad(550.0, 90.0), std::invalid_argument);
+  EXPECT_THROW((void)cells_in_footprint(550.0, 25.0, 0.0), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ density ----
@@ -303,9 +307,9 @@ TEST(Density, InverseProblemRoundTrip) {
 }
 
 TEST(Density, InverseRejectsOutOfBandLatitude) {
-  EXPECT_THROW(constellation_size_for_density(1e-4, 60.0, 53.0),
+  EXPECT_THROW((void)constellation_size_for_density(1e-4, 60.0, 53.0),
                std::invalid_argument);
-  EXPECT_THROW(constellation_size_for_density(0.0, 30.0, 53.0),
+  EXPECT_THROW((void)constellation_size_for_density(0.0, 30.0, 53.0),
                std::invalid_argument);
 }
 
@@ -760,7 +764,9 @@ TEST(VisIndex, WindowRunsSpanExactlyTheQuerySet) {
     EXPECT_LE(runs.size(), 2U * index.band_count());
     for (std::size_t r = 0; r < runs.size(); ++r) {
       EXPECT_LT(runs[r].begin, runs[r].end);
-      if (r > 0) EXPECT_NE(runs[r - 1].end, runs[r].begin) << "unmerged";
+      if (r > 0) {
+        EXPECT_NE(runs[r - 1].end, runs[r].begin) << "unmerged";
+      }
       const SatSpan span = index.span_of(runs[r]);
       for (std::uint32_t pos = span.begin; pos < span.end; ++pos) {
         const std::uint32_t si = index.sat_ids()[pos];
@@ -794,6 +800,35 @@ TEST(PropagateBatch, OutParamOverloadMatchesReturningOverload) {
       EXPECT_EQ(reused[i].ecef_km.z, fresh[i].ecef_km.z);
       EXPECT_EQ(reused[i].subpoint.lat_deg, fresh[i].subpoint.lat_deg);
       EXPECT_EQ(reused[i].subpoint.lon_deg, fresh[i].subpoint.lon_deg);
+    }
+  }
+}
+
+// propagate_all applies the epoch rotation block by block; it must stay
+// bit-identical to the per-satellite ecef_position path.
+TEST(PropagateBatch, PropagateAllMatchesPerSatelliteScalar) {
+  orbit::WalkerShell shell = orbit::starlink_shell1();
+  shell.planes = 12;
+  shell.sats_per_plane = 11;  // 132 sats: a full 128-satellite block + tail
+  const std::vector<orbit::CircularOrbit> orbits =
+      orbit::make_constellation(shell);
+  for (const double t_s : {0.0, 17.3, 5400.0, 86400.0 + 0.125}) {
+    const std::vector<orbit::SatState> batch =
+        orbit::propagate_all(orbits, t_s);
+    ASSERT_EQ(batch.size(), orbits.size());
+    for (std::size_t i = 0; i < orbits.size(); ++i) {
+      const geo::Vec3 ref = orbit::ecef_position(orbits[i], t_s);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].ecef_km.x),
+                std::bit_cast<std::uint64_t>(ref.x));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].ecef_km.y),
+                std::bit_cast<std::uint64_t>(ref.y));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].ecef_km.z),
+                std::bit_cast<std::uint64_t>(ref.z));
+      const geo::GeoPoint sub = geo::cartesian_to_spherical(ref);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].subpoint.lat_deg),
+                std::bit_cast<std::uint64_t>(sub.lat_deg));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].subpoint.lon_deg),
+                std::bit_cast<std::uint64_t>(sub.lon_deg));
     }
   }
 }

@@ -19,11 +19,13 @@
 #include <new>
 #include <vector>
 
+#include "golden_hash.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/geo/angle.hpp"
 #include "leodivide/geo/ecef.hpp"
 #include "leodivide/obs/gate.hpp"
 #include "leodivide/obs/metrics.hpp"
+#include "leodivide/orbit/footprint.hpp"
 #include "leodivide/orbit/propagate.hpp"
 #include "leodivide/orbit/visindex.hpp"
 #include "leodivide/orbit/walker.hpp"
@@ -34,6 +36,7 @@
 #include "leodivide/sim/scheduler.hpp"
 #include "leodivide/sim/simulation.hpp"
 #include "leodivide/sim/workspace.hpp"
+#include "leodivide/snapshot/artifacts.hpp"
 #include "leodivide/stats/rng.hpp"
 
 // ------------------------------------------------------------------------
@@ -287,6 +290,96 @@ TEST(IndexedEquivalence, NoSatellitesAndNoCells) {
   expect_equivalent(no_cells, {sat_at(10.0, 10.0)});
 }
 
+// Two thousand satellites over a patch of cells: a cell's contiguous span
+// holds more satellites than one stack mask block, visible and hidden ones
+// mixed, so the scan runs in several blocks with a partial last one.
+TEST(IndexedEquivalence, SpansLongerThanOneMaskBlockMatchReference) {
+  stats::Pcg32 rng(2718);
+  std::vector<SchedCell> cells;
+  for (int i = 0; i < 150; ++i) {
+    SchedCell c;
+    c.center = {36.0 + rng.next_double() * 8.0,
+                -104.0 + rng.next_double() * 8.0};
+    c.ecef_km = geo::spherical_to_cartesian(c.center, geo::kEarthRadiusKm);
+    c.locations = 1 + static_cast<std::uint32_t>(rng.next_below(2000));
+    c.beams_needed = 1 + static_cast<std::uint32_t>(rng.next_below(4));
+    cells.push_back(c);
+  }
+  std::vector<orbit::SatState> states;
+  for (int i = 0; i < 2000; ++i) {
+    states.push_back(sat_at(28.0 + rng.next_double() * 24.0,
+                            -112.0 + rng.next_double() * 24.0));
+  }
+
+  // Precondition: some cell's span is longer than the 256-satellite block.
+  orbit::VisIndex index;
+  index.build(states, orbit::coverage_central_angle_rad(550.0, 25.0));
+  std::vector<geo::GeoPoint> centres;
+  for (const SchedCell& c : cells) centres.push_back(c.center);
+  orbit::CellWindows windows;
+  index.build_windows(centres, windows);
+  std::uint32_t longest = 0;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    for (const orbit::BucketRun& run : windows.runs(c)) {
+      const orbit::SatSpan span = index.span_of(run);
+      longest = std::max(longest, span.end - span.begin);
+    }
+  }
+  ASSERT_GT(longest, 256U);
+
+  for (const Strategy strategy : kAllStrategies) {
+    SchedulerConfig config;
+    config.strategy = strategy;
+    expect_equivalent(BeamScheduler(cells, config), states);
+  }
+}
+
+// The scheduler's contiguous path — the visibility mask over each window's
+// bucket-ordered satellite spans — must keep schedules byte-identical to
+// schedule_reference on geometries built to graze the elevation mask
+// (satellites right at the visibility cone's edge).
+TEST(IndexedEquivalence, SchedulerBitIdenticalOnGrazingGeometry) {
+  std::vector<sim::SchedCell> cells;
+  for (const geo::GeoPoint p :
+       {geo::GeoPoint{89.5, 10.0}, geo::GeoPoint{-89.5, -170.0},
+        geo::GeoPoint{0.0, 180.0}, geo::GeoPoint{0.0, -180.0},
+        geo::GeoPoint{45.0, 0.0}}) {
+    sim::SchedCell c;
+    c.center = p;
+    c.ecef_km = geo::spherical_to_cartesian(p, geo::kEarthRadiusKm);
+    c.locations = 500;
+    c.beams_needed = 2;
+    cells.push_back(c);
+  }
+  sim::SchedulerConfig config;
+  config.min_elevation_deg = 25.0;
+
+  std::vector<orbit::SatState> sats;
+  // A ring of satellites at small angular offsets from each cell, spanning
+  // both sides of the visibility cone boundary for the configured mask.
+  for (const sim::SchedCell& c : cells) {
+    for (const double off_deg : {0.0, 5.0, 10.0, 14.9, 15.0, 15.1, 20.0}) {
+      orbit::SatState s;
+      s.subpoint = {c.center.lat_deg > 74.0 ? c.center.lat_deg - off_deg
+                                            : c.center.lat_deg + off_deg,
+                    c.center.lon_deg};
+      s.ecef_km = geo::spherical_to_cartesian(s.subpoint,
+                                              geo::kEarthRadiusKm + 550.0);
+      sats.push_back(s);
+    }
+  }
+
+  for (const sim::Strategy strategy :
+       {sim::Strategy::kMostSlack, sim::Strategy::kFirstFit,
+        sim::Strategy::kBestFit}) {
+    config.strategy = strategy;
+    const sim::BeamScheduler scheduler(cells, config);
+    const sim::ScheduleResult indexed = scheduler.schedule(sats);
+    const sim::ScheduleResult naive = scheduler.schedule_reference(sats);
+    EXPECT_TRUE(indexed == naive);
+  }
+}
+
 // ----------------------------------------------------- VisIndex contract ----
 
 TEST(VisIndexContract, CandidatesAreSortedSupersetOfVisible) {
@@ -362,6 +455,29 @@ TEST(TraceInvariance, IdenticalAcrossThreadCountsAndEqualToReference) {
                 summarize_epoch(ref, scheduler.cells().size(), t))
         << "epoch " << e;
   }
+}
+
+// The coverage trace of the seed-42 national profile under Starlink shell 1
+// at the 15 s rescheduling interval for 30 min, pinned byte-for-byte by
+// digest. Any change to propagation, the visibility test or the scheduler
+// that moves one bit of one epoch fails here.
+TEST(SimEquivalence, CoverageTraceMatchesGolden) {
+  using leodivide::testing::Golden;
+  SimulationConfig config;
+  config.step_s = 15.0;
+  config.duration_s = 1800.0;
+  const auto profile = demand::SyntheticGenerator({.seed = 42})
+                           .generate_profile(runtime::serial_executor());
+  const Simulation sim(config, profile);
+  const Golden want{0x3468cae5afe56e24ULL, 6826};
+  const Golden serial =
+      leodivide::testing::golden_of(snapshot::serialize(
+          sim.run(runtime::serial_executor())));
+  EXPECT_EQ(serial, want) << leodivide::testing::to_literal(serial);
+  runtime::ThreadPool pool4(4);
+  const Golden threads4 =
+      leodivide::testing::golden_of(snapshot::serialize(sim.run(pool4)));
+  EXPECT_EQ(threads4, want) << leodivide::testing::to_literal(threads4);
 }
 
 // ------------------------------------------------------ window builds ----

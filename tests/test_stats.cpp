@@ -106,8 +106,8 @@ TEST(LerpClamped, ClampsOutside) {
 TEST(LerpClamped, RejectsEmptyAndMismatched) {
   const std::vector<double> xs{0.0, 1.0};
   const std::vector<double> one{1.0};
-  EXPECT_THROW(lerp_clamped({}, {}, 0.0), std::invalid_argument);
-  EXPECT_THROW(lerp_clamped(xs, one, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)lerp_clamped({}, {}, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)lerp_clamped(xs, one, 0.0), std::invalid_argument);
 }
 
 TEST(PiecewiseQuantile, PassesThroughAnchors) {
@@ -185,7 +185,7 @@ TEST(Distributions, UniformRespectsRange) {
 
 TEST(Distributions, UniformRejectsInvertedRange) {
   Pcg32 rng(1);
-  EXPECT_THROW(sample_uniform(rng, 2.0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)sample_uniform(rng, 2.0, 1.0), std::invalid_argument);
 }
 
 TEST(Distributions, NormalMomentsMatch) {
@@ -212,8 +212,8 @@ TEST(Distributions, ParetoRespectsScale) {
 
 TEST(Distributions, ParetoRejectsBadParams) {
   Pcg32 rng(4);
-  EXPECT_THROW(sample_pareto(rng, 0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(sample_pareto(rng, 1.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)sample_pareto(rng, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)sample_pareto(rng, 1.0, 0.0), std::invalid_argument);
 }
 
 TEST(Distributions, TruncatedParetoStaysBelowCap) {
@@ -227,7 +227,7 @@ TEST(Distributions, TruncatedParetoStaysBelowCap) {
 
 TEST(Distributions, TruncatedParetoRejectsCapBelowScale) {
   Pcg32 rng(5);
-  EXPECT_THROW(sample_truncated_pareto(rng, 2.0, 1.0, 1.0),
+  EXPECT_THROW((void)sample_truncated_pareto(rng, 2.0, 1.0, 1.0),
                std::invalid_argument);
 }
 
@@ -275,8 +275,8 @@ TEST(WeightedSampling, RejectsDegenerateWeights) {
   Pcg32 rng(9);
   const std::vector<double> zeros{0.0, 0.0};
   const std::vector<double> negative{1.0, -1.0};
-  EXPECT_THROW(sample_weighted(rng, zeros), std::invalid_argument);
-  EXPECT_THROW(sample_weighted(rng, negative), std::invalid_argument);
+  EXPECT_THROW((void)sample_weighted(rng, zeros), std::invalid_argument);
+  EXPECT_THROW((void)sample_weighted(rng, negative), std::invalid_argument);
 }
 
 TEST(WeightedAlias, MatchesDirectSampler) {
@@ -324,9 +324,9 @@ TEST(Percentile, UnsortedInputHandled) {
 
 TEST(Percentile, RejectsBadInputs) {
   const std::vector<double> v{1.0};
-  EXPECT_THROW(percentile({}, 50.0), std::invalid_argument);
-  EXPECT_THROW(percentile(v, -1.0), std::invalid_argument);
-  EXPECT_THROW(percentile(v, 101.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile({}, 50.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile(v, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile(v, 101.0), std::invalid_argument);
 }
 
 TEST(Percentile, BatchMatchesSingle) {
@@ -367,7 +367,9 @@ TEST(HistogramTest, BinEdgesAreConsistent) {
   Histogram h(0.0, 100.0, 10);
   for (std::size_t b = 0; b < h.bin_count(); ++b) {
     EXPECT_DOUBLE_EQ(h.bin_hi(b) - h.bin_lo(b), h.bin_width());
-    if (b > 0) EXPECT_DOUBLE_EQ(h.bin_lo(b), h.bin_hi(b - 1));
+    if (b > 0) {
+      EXPECT_DOUBLE_EQ(h.bin_lo(b), h.bin_hi(b - 1));
+    }
   }
 }
 
