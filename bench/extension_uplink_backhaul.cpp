@@ -85,8 +85,8 @@ int main(int argc, char** argv) {
         if (outline.contains({lat, lon})) candidates.push_back({lat, lon});
       }
     }
-    const auto placement = sim::place_gateways(
-        candidates, geo::conus_bbox(), sim::GatewayPlacementConfig{});
+    const auto placement =
+        sim::place_gateways(candidates, geo::conus_bbox());
     std::cout << "\ngeometric minimum (greedy set cover): "
               << placement.sites.size()
               << " gateway sites give every satellite position over CONUS a "

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "leodivide/core/oversubscription.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/event/engine.hpp"
 #include "leodivide/io/table.hpp"
@@ -157,7 +158,7 @@ int main(int argc, char** argv) {
   {
     const core::SatelliteCapacityModel capacity;
     const auto cells = sim::BeamScheduler::cells_from_profile(
-        profile, capacity, config.oversub_target);
+        profile, capacity, core::kFccOversubscriptionCap);
     const sim::BeamScheduler scheduler(cells, config.scheduler);
     const auto orbits = orbit::make_constellation(config.shell);
     const auto r0 = scheduler.schedule(orbit::propagate_all(orbits, 0.0));

@@ -149,40 +149,43 @@ int main(int argc, char** argv) {
 
   // 4. Export machine-readable results.
   std::cout << "[4/4] writing JSON summary...\n";
-  std::ofstream json_out(out_dir / "results.json");
-  io::JsonWriter json(json_out);
-  json.begin_object();
-  json.value("total_locations",
-             static_cast<long long>(loaded.total_locations()));
-  json.value("peak_cell_locations",
-             static_cast<long long>(loaded.peak_cell_count()));
-  json.value("peak_oversubscription", results.f1.peak_oversubscription);
-  json.value("locations_above_20to1",
-             static_cast<long long>(results.f1.locations_above_cap));
-  json.value("unservable_at_20to1",
-             static_cast<long long>(results.f1.locations_unservable_at_cap));
-  json.begin_array("table2");
-  for (const auto& row : results.table2) {
+  {
+    const obs::Span span("io.results_json");
+    std::ofstream json_out(out_dir / "results.json");
+    io::JsonWriter json(json_out);
     json.begin_object();
-    json.value("beamspread", row.beamspread);
-    json.value("satellites_full_service", row.satellites_full_service);
-    json.value("satellites_capped_20to1", row.satellites_capped);
+    json.value("total_locations",
+               static_cast<long long>(loaded.total_locations()));
+    json.value("peak_cell_locations",
+               static_cast<long long>(loaded.peak_cell_count()));
+    json.value("peak_oversubscription", results.f1.peak_oversubscription);
+    json.value("locations_above_20to1",
+               static_cast<long long>(results.f1.locations_above_cap));
+    json.value("unservable_at_20to1",
+               static_cast<long long>(results.f1.locations_unservable_at_cap));
+    json.begin_array("table2");
+    for (const auto& row : results.table2) {
+      json.begin_object();
+      json.value("beamspread", row.beamspread);
+      json.value("satellites_full_service", row.satellites_full_service);
+      json.value("satellites_capped_20to1", row.satellites_capped);
+      json.end_object();
+    }
+    json.end_array();
+    json.begin_array("affordability");
+    for (const auto& p : results.fig4) {
+      json.begin_object();
+      json.value("plan", p.plan.name);
+      json.value("monthly_usd", p.plan.monthly_usd);
+      json.value("locations_unable", p.locations_unable);
+      json.value("fraction_unable", p.fraction_unable);
+      json.end_object();
+    }
+    json.end_array();
     json.end_object();
+    json_out << '\n';
+    std::cout << "      wrote " << (out_dir / "results.json") << '\n';
   }
-  json.end_array();
-  json.begin_array("affordability");
-  for (const auto& p : results.fig4) {
-    json.begin_object();
-    json.value("plan", p.plan.name);
-    json.value("monthly_usd", p.plan.monthly_usd);
-    json.value("locations_unable", p.locations_unable);
-    json.value("fraction_unable", p.fraction_unable);
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-  json_out << '\n';
-  std::cout << "      wrote " << (out_dir / "results.json") << '\n';
 
   // Bonus: the densest cells as GeoJSON for any GIS viewer.
   {

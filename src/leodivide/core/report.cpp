@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "leodivide/io/table.hpp"
+#include "leodivide/obs/trace.hpp"
 
 namespace leodivide::core {
 
@@ -112,6 +113,7 @@ std::string render_fig4(const std::vector<afford::PlanAffordability>& plans) {
 }
 
 std::string render_report(const AnalysisResults& results) {
+  const obs::Span span("core.render_report");
   std::ostringstream os;
   os << "== Table 1: Starlink single-satellite capacity model ==\n"
      << render_table1(results.table1) << '\n'

@@ -22,6 +22,10 @@ struct County {
   friend bool operator==(const County&, const County&) = default;
 };
 
+/// Synthetic county-equivalents (national and region generators) group the
+/// service cells that share a parent cell at this coarser hex resolution.
+inline constexpr int kCountyResolution = 3;
+
 /// Flat county table with a FIPS -> index map: `add` and `find` are O(1),
 /// so building a table is linear in its size.
 class CountyTable {

@@ -28,6 +28,9 @@ namespace {
 // would otherwise dominate the sizing (see DESIGN.md).
 constexpr std::uint32_t kHeavyCellThreshold = 650;
 
+static_assert(kCountyResolution < hex::kServiceCellResolution,
+              "county-equivalents group service cells under a coarser parent");
+
 std::vector<std::size_t> shuffled_indices(std::size_t n, std::uint64_t seed) {
   std::vector<std::size_t> idx(n);
   std::iota(idx.begin(), idx.end(), std::size_t{0});
@@ -80,15 +83,10 @@ SyntheticGenerator::SyntheticGenerator(GeneratorConfig config)
   if (config_.scale <= 0.0 || config_.scale > 1.0) {
     throw std::invalid_argument("GeneratorConfig: scale must be in (0, 1]");
   }
-  if (config_.county_resolution >= config_.resolution) {
-    throw std::invalid_argument(
-        "GeneratorConfig: county_resolution must be coarser than resolution");
-  }
 }
 
-std::array<geo::GeoPoint, 5> SyntheticGenerator::planted_targets(
-    int resolution) {
-  const double area = hex::cell_area_km2(resolution);
+std::array<geo::GeoPoint, 5> SyntheticGenerator::planted_targets() {
+  const double area = hex::cell_area_km2(hex::kServiceCellResolution);
   // The two binding latitudes are derived from the paper's Table-2
   // constants; the remaining peaks sit safely north of both.
   const double lat_full = paper::binding_latitude_for_k(
@@ -106,7 +104,8 @@ DemandProfile SyntheticGenerator::generate_profile(
   const obs::Span obs_span("demand.generate_profile");
   const hex::HexGrid grid;
   const auto region =
-      hex::polyfill(grid, geo::conus_outline(), config_.resolution, executor);
+      hex::polyfill(grid, geo::conus_outline(),
+                                    hex::kServiceCellResolution, executor);
   if (region.empty()) {
     throw std::runtime_error("SyntheticGenerator: empty region polyfill");
   }
@@ -116,8 +115,7 @@ DemandProfile SyntheticGenerator::generate_profile(
                    config_.scale));
 
   // Decide whether the planted peaks fit at this scale.
-  const bool plant = config_.plant_peak_cells &&
-                     target_total > 2 * paper::kPeakCellLocationSum;
+  const bool plant = target_total > 2 * paper::kPeakCellLocationSum;
   const std::uint64_t planted_sum = plant ? paper::kPeakCellLocationSum : 0;
   const std::uint64_t target_other = target_total - planted_sum;
 
@@ -167,7 +165,7 @@ DemandProfile SyntheticGenerator::generate_profile(
   cells.reserve(n_other + n_planted);
 
   if (plant) {
-    const auto targets = planted_targets(config_.resolution);
+    const auto targets = planted_targets();
     for (std::size_t k = 0; k < targets.size(); ++k) {
       // Nearest unassigned region cell to the target point.
       const std::size_t best =
@@ -204,7 +202,7 @@ DemandProfile SyntheticGenerator::generate_profile(
         ++heavy_scan_steps;
         const std::size_t i = order[heavy_scan];
         if (taken[i]) continue;
-        if (grid.center_of(region[i]).lat_deg >= config_.heavy_cell_min_lat_deg) {
+        if (grid.center_of(region[i]).lat_deg >= kHeavyCellMinLatDeg) {
           pick = i;
           break;
         }
@@ -225,7 +223,7 @@ DemandProfile SyntheticGenerator::generate_profile(
   // order for determinism.
   std::map<hex::CellId, std::vector<std::size_t>> by_parent;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    by_parent[grid.parent_of(cells[i].cell, config_.county_resolution)]
+    by_parent[grid.parent_of(cells[i].cell, kCountyResolution)]
         .push_back(i);
   }
 
@@ -282,7 +280,7 @@ DemandProfile SyntheticGenerator::generate_profile(
   }
   for (auto& cell : cells) {
     cell.county_index = county_of_parent.at(
-        grid.parent_of(cell.cell, config_.county_resolution));
+        grid.parent_of(cell.cell, kCountyResolution));
   }
 
   if (obs::metrics_enabled()) {
@@ -308,7 +306,7 @@ DemandDataset SyntheticGenerator::expand_locations(
   }
   const obs::Span obs_span("demand.expand_locations");
   const hex::HexGrid grid;
-  const double circumradius = hex::edge_length_km(config_.resolution);
+  const double circumradius = hex::edge_length_km(hex::kServiceCellResolution);
   const auto& cells = profile.cells();
 
   // Per-cell location counts and output offsets, so every cell owns a fixed
@@ -340,7 +338,8 @@ DemandDataset SyntheticGenerator::expand_locations(
                 circumradius * std::sqrt(rng.next_double());
             const geo::GeoPoint candidate =
                 geo::destination(cell.center, ang, rad);
-            if (grid.cell_of(candidate, config_.resolution) == cell.cell) {
+            if (grid.cell_of(candidate, hex::kServiceCellResolution) ==
+                cell.cell) {
               pos = candidate;
               break;
             }

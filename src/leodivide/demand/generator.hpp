@@ -20,28 +20,20 @@ class Executor;
 
 namespace leodivide::demand {
 
-/// Generator parameters.
+/// Cells that need the maximum beam count are constrained to latitudes at
+/// or above this bound so the calibrated binding cells stay binding.
+inline constexpr double kHeavyCellMinLatDeg = 37.0;
+
+/// Generator parameters. Cells are service cells
+/// (hex::kServiceCellResolution) grouped into county-equivalents at
+/// kCountyResolution; the paper's five >3465-location peak cells are
+/// planted whenever the scale leaves room for them.
 struct GeneratorConfig {
   std::uint64_t seed = 42;
-
-  /// Service-cell resolution (Starlink uses the res-5 equivalent).
-  int resolution = hex::kServiceCellResolution;
-
-  /// County-equivalents are groups of service cells sharing a parent cell
-  /// at this coarser resolution.
-  int county_resolution = 3;
 
   /// Overall scale knob: 1.0 reproduces the paper's 4.67M locations;
   /// smaller values generate proportionally smaller datasets for tests.
   double scale = 1.0;
-
-  /// Plant the five >3465-location peak cells from the paper. Disabled
-  /// automatically when scale is too small to fit them.
-  bool plant_peak_cells = true;
-
-  /// Cells that need the maximum beam count are constrained to latitudes
-  /// at or above this bound so the calibrated binding cells stay binding.
-  double heavy_cell_min_lat_deg = 37.0;
 };
 
 /// Deterministic synthetic generator, calibrated to the paper.
@@ -78,8 +70,7 @@ class SyntheticGenerator {
   /// Geographic targets of the five planted peak cells. The first two sit
   /// at the latitudes derived from the paper's Table-2 constants (the
   /// full-service and 20:1 binding cells); see calibration.hpp.
-  [[nodiscard]] static std::array<geo::GeoPoint, 5> planted_targets(
-      int resolution);
+  [[nodiscard]] static std::array<geo::GeoPoint, 5> planted_targets();
 
  private:
   GeneratorConfig config_;

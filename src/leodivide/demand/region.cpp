@@ -15,15 +15,12 @@ RegionGenerator::RegionGenerator(RegionSpec spec) : spec_(std::move(spec)) {
   if (spec_.total_locations == 0) {
     throw std::invalid_argument("RegionGenerator: zero locations");
   }
-  if (spec_.county_resolution >= spec_.resolution) {
-    throw std::invalid_argument(
-        "RegionGenerator: county_resolution must be coarser than resolution");
-  }
 }
 
 DemandProfile RegionGenerator::generate() const {
   const hex::HexGrid grid;
-  const auto region = hex::polyfill(grid, spec_.outline, spec_.resolution);
+  const auto region =
+      hex::polyfill(grid, spec_.outline, hex::kServiceCellResolution);
   if (region.empty()) {
     throw std::runtime_error("RegionGenerator: outline contains no cells");
   }
@@ -78,7 +75,7 @@ DemandProfile RegionGenerator::generate() const {
   // in hash-shuffled order (decorrelated from geography).
   std::map<hex::CellId, std::vector<std::size_t>> by_parent;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    by_parent[grid.parent_of(cells[i].cell, spec_.county_resolution)]
+    by_parent[grid.parent_of(cells[i].cell, kCountyResolution)]
         .push_back(i);
   }
   struct Draft {
@@ -118,7 +115,7 @@ DemandProfile RegionGenerator::generate() const {
   }
   for (auto& cell : cells) {
     cell.county_index =
-        county_of.at(grid.parent_of(cell.cell, spec_.county_resolution));
+        county_of.at(grid.parent_of(cell.cell, kCountyResolution));
   }
   return DemandProfile(std::move(cells), std::move(counties));
 }

@@ -38,11 +38,10 @@ struct RegionSpec {
       {{0.0, 5'000.0}, {0.5, 15'000.0}, {1.0, 60'000.0}}};
 
   std::uint64_t seed = 7;
-  int resolution = hex::kServiceCellResolution;
-  int county_resolution = 3;
 };
 
-/// Generates a cell-level DemandProfile for a region spec. Counts are
+/// Generates a cell-level DemandProfile for a region spec over service cells
+/// (hex::kServiceCellResolution). Counts are
 /// stratified draws from the cell quantile (deterministic for a seed),
 /// assigned to a seeded shuffle of the region's cells; counties are
 /// coarse-parent groups with incomes stratified over the income quantile,

@@ -1,10 +1,8 @@
 #include "leodivide/event/engine.hpp"
 
-#include <cmath>
-#include <stdexcept>
 #include <utility>
 
-#include "leodivide/geo/angle.hpp"
+#include "leodivide/core/oversubscription.hpp"
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/orbit/propagate.hpp"
@@ -16,24 +14,10 @@ namespace leodivide::event {
 
 namespace {
 
-// Coverage-cone threshold for the solver, derived with the scheduler's own
-// operation order (sim/scheduler.cpp derive_geometry). The kernel re-derives
-// this per epoch from |sat 0|, which jitters at the ulp level over time;
-// the solver's eval_slack dominates that jitter by orders of magnitude, so
-// deriving once from the t = 0 radius preserves the certificate.
-double threshold_cos_psi(double radius_km, double min_elevation_deg) {
-  const double alt_km = radius_km - geo::kEarthRadiusKm;
-  const double ratio = geo::kEarthRadiusKm / (geo::kEarthRadiusKm + alt_km);
-  const double eps = geo::deg2rad(min_elevation_deg);
-  return std::cos(std::acos(ratio * std::cos(eps)) - eps);
-}
-
-// The scheduler's no-states fallback radius (sim/scheduler.cpp
-// first_radius_km): geometry must stay well-defined with zero satellites.
-double first_radius_km(const std::vector<orbit::SatState>& sats) {
-  return sats.empty() ? geo::kEarthRadiusKm + 550.0
-                      : sats.front().ecef_km.norm();
-}
+// Dirty spans are widened by this much on both sides [s] before the reuse
+// decision, so a crossing exactly on a window edge can never be attributed
+// to the certified side.
+constexpr double kGuardS = 1e-6;
 
 obs::Histogram& latency_histogram(EventKind kind) {
   static obs::Histogram& initial =
@@ -55,26 +39,18 @@ obs::Histogram& latency_histogram(EventKind kind) {
 
 EventSimulation::EventSimulation(sim::SimulationConfig config,
                                  const demand::DemandProfile& profile,
-                                 const core::SatelliteCapacityModel& model,
-                                 EventConfig event_config)
+                                 const core::SatelliteCapacityModel& model)
     : config_(config),
-      event_config_(event_config),
-      scheduler_(sim::BeamScheduler::cells_from_profile(profile, model,
-                                                        config.oversub_target),
+      scheduler_(sim::BeamScheduler::cells_from_profile(
+                     profile, model, core::kFccOversubscriptionCap),
                  config.scheduler),
       orbits_(orbit::make_constellation(config.shell)),
-      model_(model) {
-  if (!(event_config_.window_s > 0.0) || !(event_config_.guard_s > 0.0) ||
-      !(event_config_.eval_slack >= 0.0)) {
-    throw std::invalid_argument("EventSimulation: bad EventConfig");
-  }
-}
+      model_(model) {}
 
 void EventSimulation::run_trace(runtime::Executor& executor, EventTrace& out) {
   const obs::Span obs_span("event.run");
   const sim::SimClock clock(config_.duration_s, config_.step_s);
   const double duration = config_.duration_s;
-  const double guard = event_config_.guard_s;
   const std::vector<sim::SchedCell>& cells = scheduler_.cells();
   const std::size_t n_cells = cells.size();
 
@@ -87,19 +63,20 @@ void EventSimulation::run_trace(runtime::Executor& executor, EventTrace& out) {
   out.boundaries = 0;
 
   // --- Phase 1: certified crossing windows, parallel over cells. -------
-  // The solver threshold comes from the same geometry derivation the
-  // kernel uses, evaluated at t = 0.
+  // The solver threshold is the kernel's own coverage geometry at t = 0.
+  // The kernel re-derives it per epoch from |sat 0|, which jitters at the
+  // ulp level over time; the solver's evaluation slack dominates that
+  // jitter by orders of magnitude, so the t = 0 threshold preserves the
+  // certificate.
   orbit::propagate_all(orbits_, 0.0, ws_.sched_ws.states);
-  const double cos_psi = threshold_cos_psi(
-      first_radius_km(ws_.sched_ws.states),
-      config_.scheduler.min_elevation_deg);
+  const double cos_psi =
+      sim::coverage_geometry(ws_.sched_ws.states, ws_.sched_ws.geometry)
+          .cos_psi;
 
-  const orbit::CrossingConfig crossing_config{event_config_.window_s,
-                                              event_config_.eval_slack};
   ws_.solvers.clear();
   ws_.solvers.reserve(orbits_.size());
   for (const orbit::CircularOrbit& orbit : orbits_) {
-    ws_.solvers.emplace_back(orbit, cos_psi, crossing_config);
+    ws_.solvers.emplace_back(orbit, cos_psi);
   }
 
   // resize (not clear) keeps every inner vector's capacity across runs.
@@ -181,8 +158,8 @@ void EventSimulation::run_trace(runtime::Executor& executor, EventTrace& out) {
     if (ev.kind == EventKind::kRise) ++n_rise;
     if (ev.kind == EventKind::kSet) ++n_set;
     if (ev.kind == EventKind::kGraze) ++n_graze;
-    double lo = ev.window_lo_s - guard;
-    double hi = ev.window_hi_s + guard;
+    double lo = ev.window_lo_s - kGuardS;
+    double hi = ev.window_hi_s + kGuardS;
     if (lo < 0.0) lo = 0.0;
     if (hi > duration) hi = duration;
     // Events pop in ascending window_lo order, so a span only ever grows
@@ -248,7 +225,7 @@ void EventSimulation::run_trace(runtime::Executor& executor, EventTrace& out) {
       segment.coverage = sim::summarize_epoch(*cur, n_cells, boundary.time_s,
                                               ws_.sched_ws.sat_dedup);
       sim::compute_qos(cells, *cur, model_, config_.scheduler,
-                       config_.oversub_target, ws_.qos_cells);
+                       core::kFccOversubscriptionCap, ws_.qos_cells);
       segment.qos = sim::summarize_qos(ws_.qos_cells);
       out.segments.push_back(segment);
       std::swap(prev, cur);

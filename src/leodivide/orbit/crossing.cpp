@@ -16,17 +16,23 @@ namespace {
 // handles every pass boundary.
 constexpr double kSweepDrop = 0.5;
 
+// Emitted windows are subdivided to at most this width [s]. Narrower only
+// trades solver work for window width.
+constexpr double kWindowS = 1e-3;
+
+// Certificates require the endpoint-magnitude sum to exceed
+// L * width + kEvalSlack. The slack must dominate the float noise between
+// this solver's analytic evaluation and the scheduler's own dot products
+// (~1e-14); it leaves two orders of magnitude of margin.
+constexpr double kEvalSlack = 1e-11;
+
 }  // namespace
 
 ConeCrossingSolver::ConeCrossingSolver(const CircularOrbit& orbit,
-                                       double cos_psi, CrossingConfig config)
+                                       double cos_psi)
     : mean_motion_(orbit.mean_motion_rad_s()),
       phase_(orbit.phase_rad),
-      cos_psi_(cos_psi),
-      config_(config) {
-  if (!(config_.window_s > 0.0)) {
-    throw std::invalid_argument("ConeCrossingSolver: window_s must be > 0");
-  }
+      cos_psi_(cos_psi) {
   if (cos_psi < -1.0 || cos_psi > 1.0) {
     throw std::invalid_argument("ConeCrossingSolver: cos_psi out of [-1, 1]");
   }
@@ -77,8 +83,7 @@ void ConeCrossingSolver::find(const geo::Vec3& u, double t_begin, double t_end,
   if (!can_ever_see(u)) return;
 
   const double lip = rate_bound_;
-  const double h0 = std::max(config_.window_s, kSweepDrop / lip);
-  const double certify_slack = config_.eval_slack;
+  const double h0 = std::max(kWindowS, kSweepDrop / lip);
 
   // Emit one resolved window. Windows come out of the subdivision in
   // ascending time order because intervals are processed left to right.
@@ -127,10 +132,10 @@ void ConeCrossingSolver::find(const geo::Vec3& u, double t_begin, double t_end,
     // the Lipschitz budget (and both endpoints are on the same side).
     const bool same_side = (iv.g_lo < 0.0) == (iv.g_hi < 0.0);
     if (same_side &&
-        std::abs(iv.g_lo) + std::abs(iv.g_hi) > lip * width + certify_slack) {
+        std::abs(iv.g_lo) + std::abs(iv.g_hi) > lip * width + kEvalSlack) {
       continue;
     }
-    if (width <= config_.window_s) {
+    if (width <= kWindowS) {
       // Narrow enough: a sign change is a certain crossing window; a
       // same-side residual is a potential graze (local extremum hugging
       // the threshold) and is emitted as an uncertain window so callers

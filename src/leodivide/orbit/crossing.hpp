@@ -11,10 +11,10 @@
 // root finding into a *certified* procedure: an interval whose endpoint
 // magnitudes sum to more than L * width provably contains no crossing and
 // is discarded without further evaluation; everything else is bisected
-// until the crossing is isolated inside a window narrower than the
-// configured floor. The event engine reschedules beams only inside those
-// windows, so the certificate — not sampling density — is what guarantees
-// no visibility flip is ever missed.
+// until the crossing is isolated inside a window at most 1 ms wide. The
+// event engine reschedules beams only inside those windows, so the
+// certificate — not sampling density — is what guarantees no visibility
+// flip is ever missed.
 //
 // The solver is a pure function of its inputs (fixed evaluation order, no
 // global state), so crossing sets are byte-reproducible at any thread
@@ -40,17 +40,6 @@ struct Crossing {
   bool certain = true;  ///< false: near-tangent graze, sign change unresolved
 };
 
-/// Solver tuning. The defaults are safe for every LEO shell the library
-/// models; they only trade work for window width.
-struct CrossingConfig {
-  /// Emitted windows are subdivided to at most this width [s]. Must be > 0.
-  double window_s = 1e-3;
-  /// Certificates require the endpoint-magnitude sum to exceed
-  /// L * width + slack; the slack absorbs float evaluation noise between
-  /// this solver and the scheduler's own dot product.
-  double eval_slack = 1e-11;
-};
-
 /// Reusable scratch for find(); holds no observable state. One instance
 /// per thread.
 struct CrossingScratch {
@@ -66,8 +55,7 @@ struct CrossingScratch {
 /// solver is cheap to build and immutable afterwards.
 class ConeCrossingSolver {
  public:
-  ConeCrossingSolver(const CircularOrbit& orbit, double cos_psi,
-                     CrossingConfig config = {});
+  ConeCrossingSolver(const CircularOrbit& orbit, double cos_psi);
 
   /// g(t) for the ground unit vector `u` (exact model function, evaluated
   /// with a fixed operation order).
@@ -98,7 +86,6 @@ class ConeCrossingSolver {
   double psi_rad_;
   double abs_sin_inc_;  ///< |sin(inclination)|: max |z| of the unit track
   double rate_bound_;
-  CrossingConfig config_;
 };
 
 }  // namespace leodivide::orbit

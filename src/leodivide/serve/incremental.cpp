@@ -102,7 +102,7 @@ IncrementalEngine::IncrementalEngine(demand::DemandProfile baseline,
     : config_(config),
       grid_(),
       profile_(std::move(baseline)),
-      applier_(profile_, grid_, config_.cell_resolution),
+      applier_(profile_, grid_, hex::kServiceCellResolution),
       cache_(cache) {
   const auto& cells = profile_.cells();
   cell_region_.reserve(cells.size());
@@ -118,7 +118,7 @@ IncrementalEngine::IncrementalEngine(demand::DemandProfile baseline,
 }
 
 std::size_t IncrementalEngine::region_of(hex::CellId cell) {
-  const hex::CellId parent = grid_.parent_of(cell, config_.region_resolution);
+  const hex::CellId parent = grid_.parent_of(cell, kRegionResolution);
   const auto [it, inserted] =
       region_index_.emplace(parent.bits(), regions_.size());
   if (inserted) regions_.emplace_back();

@@ -49,13 +49,14 @@
 
 namespace leodivide::serve {
 
-/// Engine tuning knobs plus the sizing model every query evaluates.
+/// Region granularity. Aperture-4 ladder: resolution 2 puts ~64 service
+/// cells (hex::kServiceCellResolution) in one region — small enough that a
+/// delta dirties little, large enough that per-region bookkeeping stays
+/// cheap.
+inline constexpr int kRegionResolution = 2;
+
+/// Engine settings plus the sizing model every query evaluates.
 struct EngineConfig {
-  int cell_resolution = hex::kServiceCellResolution;
-  /// Region granularity. Aperture-4 ladder: resolution 2 puts ~64 service
-  /// cells (resolution 5) in one region — small enough that a delta dirties
-  /// little, large enough that per-region bookkeeping stays cheap.
-  int region_resolution = 2;
   bool paranoid = false;  ///< cross-check every answer against full recompute
   core::SizingModel model;
 };

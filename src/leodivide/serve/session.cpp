@@ -64,7 +64,7 @@ protocol::Frame ServiceState::dispatch(const protocol::Frame& request) {
     case MsgType::kHello: {
       (void)protocol::decode_hello_request(request.payload);
       protocol::HelloReply reply;
-      reply.server = config_.server_name;
+      reply.server = kServerName;
       reply.cells = engine_.profile().cell_count();
       reply.counties = engine_.profile().counties().size();
       reply.regions = engine_.region_count();
@@ -123,7 +123,8 @@ protocol::Frame ServiceState::dispatch(const protocol::Frame& request) {
       const protocol::QueryAffordabilityRequest req =
           protocol::decode_query_affordability_request(request.payload);
       const double threshold =
-          req.threshold > 0.0 ? req.threshold : config_.default_threshold;
+          req.threshold > 0.0 ? req.threshold
+                              : afford::kAffordabilityThreshold;
       const afford::ServicePlan& plan = plans_.find(req.plan_name);
       const afford::PlanAffordability answer =
           engine_.query_affordability(plan, threshold);

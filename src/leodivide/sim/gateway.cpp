@@ -8,26 +8,35 @@
 
 namespace leodivide::sim {
 
+namespace {
+
+constexpr double kAltitudeKm = 550.0;
+// Minimum elevation of the satellite as seen from a gateway dish.
+constexpr double kGatewayElevationDeg = 25.0;
+// Grid spacing for satellite-position sample points [deg].
+constexpr double kSampleSpacingDeg = 2.0;
+
+}  // namespace
+
 GatewayPlacement place_gateways(const std::vector<geo::GeoPoint>& candidates,
-                                const geo::BoundingBox& region,
-                                const GatewayPlacementConfig& config) {
+                                const geo::BoundingBox& region) {
   if (candidates.empty()) {
     throw std::invalid_argument("place_gateways: no candidates");
   }
-  if (!region.valid() || config.sample_spacing_deg <= 0.0) {
-    throw std::invalid_argument("place_gateways: bad region or spacing");
+  if (!region.valid()) {
+    throw std::invalid_argument("place_gateways: bad region");
   }
   // Sub-satellite sample points across the region.
   std::vector<geo::GeoPoint> samples;
   for (double lat = region.lat_min; lat <= region.lat_max;
-       lat += config.sample_spacing_deg) {
+       lat += kSampleSpacingDeg) {
     for (double lon = region.lon_min; lon <= region.lon_max;
-         lon += config.sample_spacing_deg) {
+         lon += kSampleSpacingDeg) {
       samples.push_back({lat, lon});
     }
   }
-  const double radius_km = orbit::footprint_radius_km(
-      config.altitude_km, config.gateway_elevation_deg);
+  const double radius_km =
+      orbit::footprint_radius_km(kAltitudeKm, kGatewayElevationDeg);
 
   // Coverage sets: candidate -> sample indices within the footprint.
   std::vector<std::vector<std::size_t>> covers(candidates.size());

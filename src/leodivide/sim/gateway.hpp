@@ -13,15 +13,6 @@
 
 namespace leodivide::sim {
 
-/// Placement parameters.
-struct GatewayPlacementConfig {
-  double altitude_km = 550.0;
-  /// Minimum elevation of the satellite as seen from a gateway dish.
-  double gateway_elevation_deg = 25.0;
-  /// Grid spacing for satellite-position sample points [deg].
-  double sample_spacing_deg = 2.0;
-};
-
 /// Result of a placement.
 struct GatewayPlacement {
   std::vector<geo::GeoPoint> sites;   ///< chosen gateway locations
@@ -30,13 +21,14 @@ struct GatewayPlacement {
 };
 
 /// Greedy set cover: repeatedly picks the candidate covering the most
-/// still-uncovered satellite sample positions until every coverable sample
-/// is covered. A sample is covered by a candidate when their great-circle
-/// separation is within the feeder footprint radius (same geometry as the
-/// user-terminal footprint at gateway_elevation_deg). Throws
-/// std::invalid_argument on empty candidates or a degenerate region.
+/// still-uncovered satellite sample positions (a 2-degree grid over
+/// `region`) until every coverable sample is covered. A sample is covered
+/// by a candidate when their great-circle separation is within the feeder
+/// footprint radius of a 550 km satellite seen at 25 degrees elevation (the
+/// user-terminal footprint geometry). Throws std::invalid_argument on empty
+/// candidates or a degenerate region.
 [[nodiscard]] GatewayPlacement place_gateways(
     const std::vector<geo::GeoPoint>& candidates,
-    const geo::BoundingBox& region, const GatewayPlacementConfig& config);
+    const geo::BoundingBox& region);
 
 }  // namespace leodivide::sim

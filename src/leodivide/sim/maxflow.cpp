@@ -1,12 +1,9 @@
 #include "leodivide/sim/maxflow.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <queue>
 #include <stdexcept>
-
-#include "leodivide/geo/angle.hpp"
 
 namespace leodivide::sim {
 
@@ -91,13 +88,8 @@ FlowBound optimal_slot_bound(const std::vector<SchedCell>& cells,
   const auto source = static_cast<std::uint32_t>(0);
   const auto sink = static_cast<std::uint32_t>(c_count + s_count + 1);
 
-  double alt_km = 550.0;
-  if (!sats.empty()) {
-    alt_km = sats.front().ecef_km.norm() - geo::kEarthRadiusKm;
-  }
-  const double ratio = geo::kEarthRadiusKm / (geo::kEarthRadiusKm + alt_km);
-  const double eps = geo::deg2rad(config.min_elevation_deg);
-  const double cos_psi = std::cos(std::acos(ratio * std::cos(eps)) - eps);
+  CoverageGeometry geometry;
+  const double cos_psi = coverage_geometry(sats, geometry).cos_psi;
 
   std::vector<geo::Vec3> sat_units;
   sat_units.reserve(s_count);
@@ -121,8 +113,8 @@ FlowBound optimal_slot_bound(const std::vector<SchedCell>& cells,
                     static_cast<std::uint32_t>(1 + c_count + si), slots);
     }
   }
-  const auto sat_slots = static_cast<std::int64_t>(
-      config.beams_per_satellite) * config.beamspread;
+  const auto sat_slots =
+      static_cast<std::int64_t>(kBeamsPerSatellite) * config.beamspread;
   for (std::size_t si = 0; si < s_count; ++si) {
     flow.add_edge(static_cast<std::uint32_t>(1 + c_count + si), sink,
                   sat_slots);

@@ -55,8 +55,8 @@ struct FlowBound {
 };
 
 /// Solves the slot relaxation for one epoch: every cell may split its
-/// demand across all satellites visible at `min_elevation_deg`; each
-/// satellite offers beams_per_satellite * beamspread slots.
+/// demand across all satellites visible at kMinElevationDeg; each
+/// satellite offers kBeamsPerSatellite * beamspread slots.
 [[nodiscard]] FlowBound optimal_slot_bound(
     const std::vector<SchedCell>& cells,
     const std::vector<orbit::SatState>& sats, const SchedulerConfig& config);

@@ -10,39 +10,29 @@
 #include "leodivide/geo/angle.hpp"
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/obs/trace.hpp"
+#include "leodivide/orbit/footprint.hpp"
 #include "leodivide/sim/beam.hpp"
 
 namespace leodivide::sim {
 
+// The altitude is taken as radius - R before the ratio R / (R + alt) is
+// formed: that operation order is what the pinned traces were computed
+// with, so cos_psi — and therefore every schedule — matches them bit for
+// bit.
+const CoverageGeometry& coverage_geometry(
+    const std::vector<orbit::SatState>& sats, CoverageGeometry& memo) {
+  const double radius_km = sats.empty() ? geo::kEarthRadiusKm + 550.0
+                                        : sats.front().ecef_km.norm();
+  if (!memo.matches(radius_km)) {
+    memo.radius_km = radius_km;
+    memo.psi_rad = orbit::coverage_central_angle_rad(
+        radius_km - geo::kEarthRadiusKm, kMinElevationDeg);
+    memo.cos_psi = std::cos(memo.psi_rad);
+  }
+  return memo;
+}
+
 namespace {
-
-// Derives the coverage-cone geometry for an orbit radius and elevation
-// mask. The operation order is kept exactly as the original inline
-// derivation (alt = radius - R; ratio = R / (R + alt)) so cos_psi — and
-// therefore every schedule — stays bit-identical with traces produced by
-// pre-index builds. All satellites share one altitude in a Walker shell;
-// the radius comes from the first state (robust to small numerical
-// spread). Memoized per workspace via CoverageGeometry::matches.
-CoverageGeometry derive_geometry(double radius_km,
-                                 double min_elevation_deg) {
-  CoverageGeometry g;
-  g.radius_km = radius_km;
-  g.min_elevation_deg = min_elevation_deg;
-  const double alt_km = radius_km - geo::kEarthRadiusKm;
-  const double ratio = geo::kEarthRadiusKm / (geo::kEarthRadiusKm + alt_km);
-  const double eps = geo::deg2rad(min_elevation_deg);
-  g.psi_rad = std::acos(ratio * std::cos(eps)) - eps;
-  g.cos_psi = std::cos(g.psi_rad);
-  return g;
-}
-
-// Radius used when there are no satellite states (the geometry is then
-// irrelevant — nothing can be assigned — but psi must stay well-defined
-// for the index). Matches the historical 550 km default.
-double first_radius_km(const std::vector<orbit::SatState>& sats) {
-  return sats.empty() ? geo::kEarthRadiusKm + 550.0
-                      : sats.front().ecef_km.norm();
-}
 
 // Satellites per visibility-mask block: the mask lives on the stack, and a
 // window's runs are a few dozen satellites, so one block almost always
@@ -93,8 +83,8 @@ BeamScheduler::BeamScheduler(std::vector<SchedCell> cells,
     : cells_(std::move(cells)),
       config_(config),
       windows_(std::make_shared<WindowCache>()) {
-  if (config_.beams_per_satellite == 0 || config_.beamspread == 0) {
-    throw std::invalid_argument("BeamScheduler: zero beams or beamspread");
+  if (config_.beamspread == 0) {
+    throw std::invalid_argument("BeamScheduler: zero beamspread");
   }
   order_.resize(cells_.size());
   std::iota(order_.begin(), order_.end(), 0U);
@@ -145,14 +135,11 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
   result.mean_beam_utilization = 0.0;
   if (cells_.empty()) return;
 
-  const double radius_km = first_radius_km(sats);
-  if (!ws.geometry.matches(radius_km, config_.min_elevation_deg)) {
-    ws.geometry = derive_geometry(radius_km, config_.min_elevation_deg);
-  }
-  const double cos_psi = ws.geometry.cos_psi;
+  const CoverageGeometry& geometry = coverage_geometry(sats, ws.geometry);
+  const double cos_psi = geometry.cos_psi;
 
-  ws.budgets.assign(
-      sats.size(), BeamBudget(config_.beams_per_satellite, config_.beamspread));
+  ws.budgets.assign(sats.size(),
+                    BeamBudget(kBeamsPerSatellite, config_.beamspread));
   ws.sat_touched.assign(sats.size(), 0);
 
   // The index stores each epoch's satellite unit radials in bucket order;
@@ -160,7 +147,7 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
   // shared by every epoch and thread at this coverage angle.
   std::shared_ptr<const orbit::CellWindows> windows;
   if (!sats.empty()) {
-    ws.index.build(sats, ws.geometry.psi_rad);
+    ws.index.build(sats, geometry.psi_rad);
     windows = windows_->get(ws.index, cells_, order_);
   }
   const std::uint32_t* ids = ws.index.sat_ids();
@@ -259,7 +246,7 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
   for (std::size_t si = 0; si < sats.size(); ++si) {
     if (ws.sat_touched[si] == 0) continue;
     util_sum += static_cast<double>(ws.budgets[si].beams_used()) /
-                static_cast<double>(config_.beams_per_satellite);
+                static_cast<double>(kBeamsPerSatellite);
     ++util_n;
   }
   result.mean_beam_utilization = util_n == 0 ? 0.0 : util_sum /
@@ -285,12 +272,11 @@ ScheduleResult BeamScheduler::schedule_reference(
 
   // Precompute the geometry threshold: a satellite is usable by a cell when
   // the cell lies within the coverage central angle for the elevation mask.
-  const double cos_psi =
-      derive_geometry(first_radius_km(sats), config_.min_elevation_deg)
-          .cos_psi;
+  CoverageGeometry geometry;
+  const double cos_psi = coverage_geometry(sats, geometry).cos_psi;
 
   std::vector<BeamBudget> budgets(
-      sats.size(), BeamBudget(config_.beams_per_satellite, config_.beamspread));
+      sats.size(), BeamBudget(kBeamsPerSatellite, config_.beamspread));
 
   // Unit vectors of satellite positions for the cheap visibility test.
   std::vector<geo::Vec3> sat_units;
@@ -356,7 +342,7 @@ ScheduleResult BeamScheduler::schedule_reference(
   for (std::size_t si = 0; si < sats.size(); ++si) {
     if (!sat_touched[si]) continue;
     util_sum += static_cast<double>(budgets[si].beams_used()) /
-                static_cast<double>(config_.beams_per_satellite);
+                static_cast<double>(kBeamsPerSatellite);
     ++util_n;
   }
   result.mean_beam_utilization = util_n == 0 ? 0.0 : util_sum /

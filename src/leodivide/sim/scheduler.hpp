@@ -39,11 +39,14 @@ enum class Strategy {
   kBestFit,    ///< pack tightly: least remaining capacity that still fits
 };
 
-/// Scheduler configuration.
+/// User beams per satellite (Table 1's 24, the capacity model's plan).
+inline constexpr std::uint32_t kBeamsPerSatellite = 24;
+
+/// Scheduler configuration. Every satellite offers kBeamsPerSatellite
+/// beams; a cell is visible from satellites within the coverage cone at
+/// kMinElevationDeg (sim/workspace.hpp).
 struct SchedulerConfig {
-  std::uint32_t beams_per_satellite = 24;
   std::uint32_t beamspread = 5;
-  double min_elevation_deg = 25.0;  ///< Starlink's terminal mask
   Strategy strategy = Strategy::kMostSlack;
 };
 

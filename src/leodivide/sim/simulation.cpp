@@ -1,5 +1,6 @@
 #include "leodivide/sim/simulation.hpp"
 
+#include "leodivide/core/oversubscription.hpp"
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/runtime/parallel_for.hpp"
@@ -12,8 +13,8 @@ Simulation::Simulation(SimulationConfig config,
                        const demand::DemandProfile& profile,
                        const core::SatelliteCapacityModel& model)
     : config_(config),
-      scheduler_(BeamScheduler::cells_from_profile(profile, model,
-                                                   config.oversub_target),
+      scheduler_(BeamScheduler::cells_from_profile(
+                     profile, model, core::kFccOversubscriptionCap),
                  config.scheduler),
       orbits_(orbit::make_constellation(config.shell)) {}
 

@@ -28,13 +28,13 @@ enum class Engine {
   kEvent,  ///< event-driven: reschedule only at rise/set crossing windows
 };
 
-/// Simulation parameters.
+/// Simulation parameters. Each cell's beams_needed is computed at the
+/// FCC's 20:1 cap (core::kFccOversubscriptionCap).
 struct SimulationConfig {
   orbit::WalkerShell shell = orbit::starlink_shell1();
   SchedulerConfig scheduler;
   double duration_s = 600.0;
   double step_s = 60.0;
-  double oversub_target = 20.0;  ///< beams_needed computed at this ratio
   Engine engine = Engine::kEpoch;
 };
 

@@ -5,7 +5,6 @@
 #include "leodivide/core/scenario.hpp"
 #include "leodivide/demand/delta.hpp"
 #include "leodivide/demand/generator.hpp"
-#include "leodivide/event/engine.hpp"
 #include "leodivide/market/simulation.hpp"
 #include "leodivide/sim/simulation.hpp"
 
@@ -76,13 +75,16 @@ Fingerprint substage_fingerprint(std::string_view stage,
   return fp;
 }
 
+// The generator's fixed inputs (service and county resolutions, planting,
+// the heavy-cell latitude floor) keep their slots in the digest, so cache
+// blobs already on disk keep their keys.
 void mix(Fingerprint& fp, const demand::GeneratorConfig& config) {
   fp.mix_u64(config.seed)
-      .mix_i64(config.resolution)
-      .mix_i64(config.county_resolution)
+      .mix_i64(hex::kServiceCellResolution)
+      .mix_i64(demand::kCountyResolution)
       .mix_f64(config.scale)
-      .mix_bool(config.plant_peak_cells)
-      .mix_f64(config.heavy_cell_min_lat_deg);
+      .mix_bool(true)  // peak cells are planted whenever they fit
+      .mix_f64(demand::kHeavyCellMinLatDeg);
 }
 
 void mix(Fingerprint& fp, const core::SizingModel& model) {
@@ -110,25 +112,22 @@ void mix(Fingerprint& fp, const core::AnalysisConfig& config) {
   fp.mix_f64(config.oversub_cap);
 }
 
+// The beam budget, terminal mask and oversubscription target are constants
+// that keep their slots, so cached traces keep their keys
+// (IndexedKernelCompat.SimEpochsFingerprintIsStable pins one).
 void mix(Fingerprint& fp, const sim::SimulationConfig& config) {
   fp.mix_f64(config.shell.inclination_deg)
       .mix_f64(config.shell.altitude_km)
       .mix_u64(config.shell.planes)
       .mix_u64(config.shell.sats_per_plane)
       .mix_u64(config.shell.phasing)
-      .mix_u64(config.scheduler.beams_per_satellite)
+      .mix_u64(sim::kBeamsPerSatellite)
       .mix_u64(config.scheduler.beamspread)
-      .mix_f64(config.scheduler.min_elevation_deg)
+      .mix_f64(sim::kMinElevationDeg)
       .mix_u64(static_cast<std::uint64_t>(config.scheduler.strategy))
       .mix_f64(config.duration_s)
       .mix_f64(config.step_s)
-      .mix_f64(config.oversub_target);
-}
-
-void mix(Fingerprint& fp, const event::EventConfig& config) {
-  fp.mix_f64(config.window_s)
-      .mix_f64(config.eval_slack)
-      .mix_f64(config.guard_s);
+      .mix_f64(core::kFccOversubscriptionCap);
 }
 
 void mix(Fingerprint& fp, const market::OperatorCosts& costs) {

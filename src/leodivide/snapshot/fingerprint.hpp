@@ -28,9 +28,6 @@ struct AnalysisConfig;
 namespace leodivide::sim {
 struct SimulationConfig;
 }
-namespace leodivide::event {
-struct EventConfig;
-}
 namespace leodivide::market {
 struct OperatorCosts;
 struct OperatorConfig;
@@ -81,7 +78,6 @@ void mix(Fingerprint& fp, const demand::GeneratorConfig& config);
 void mix(Fingerprint& fp, const core::SizingModel& model);
 void mix(Fingerprint& fp, const core::AnalysisConfig& config);
 void mix(Fingerprint& fp, const sim::SimulationConfig& config);
-void mix(Fingerprint& fp, const event::EventConfig& config);
 void mix(Fingerprint& fp, const demand::DeltaOp& op);
 void mix(Fingerprint& fp, const market::OperatorCosts& costs);
 void mix(Fingerprint& fp, const market::OperatorConfig& config);

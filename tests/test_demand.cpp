@@ -375,10 +375,9 @@ TEST(Generator, ExactlyFiveCellsExceedTheCap) {
 }
 
 TEST(Generator, HeavyCellsRespectLatitudeFloor) {
-  const GeneratorConfig config;
   for (const auto& c : national_profile().cells()) {
     if (c.underserved > 650 && c.underserved <= 3465) {
-      EXPECT_GE(c.center.lat_deg, config.heavy_cell_min_lat_deg)
+      EXPECT_GE(c.center.lat_deg, kHeavyCellMinLatDeg)
           << "cell with " << c.underserved << " locations";
     }
   }
@@ -400,7 +399,7 @@ TEST(Generator, HeavyCellScanIsLinearInRegion) {
   obs::set_metrics_enabled(was_enabled);
 
   const auto region = hex::polyfill(hex::HexGrid(), geo::conus_outline(),
-                                    config.resolution);
+                                    hex::kServiceCellResolution);
   std::size_t heavy = 0;  // planted peaks included: an upper bound
   for (const auto& c : profile.cells()) {
     if (c.underserved > 650) ++heavy;
@@ -410,7 +409,7 @@ TEST(Generator, HeavyCellScanIsLinearInRegion) {
 }
 
 TEST(Generator, PlantedBindingCellsSitAtCalibratedLatitudes) {
-  const auto targets = SyntheticGenerator::planted_targets(5);
+  const auto targets = SyntheticGenerator::planted_targets();
   const DemandProfile& p = national_profile();
   // The 5998 cell sits at the full-service binding latitude target.
   for (const auto& c : p.cells()) {
@@ -492,8 +491,6 @@ TEST(Generator, CountyIncomesAreWithinCalibratedRange) {
 TEST(Generator, RejectsBadConfig) {
   EXPECT_THROW(SyntheticGenerator({.scale = 0.0}), std::invalid_argument);
   EXPECT_THROW(SyntheticGenerator({.scale = 1.5}), std::invalid_argument);
-  EXPECT_THROW(SyntheticGenerator({.resolution = 3, .county_resolution = 3}),
-               std::invalid_argument);
 }
 
 TEST(Generator, ExpandLocationsMatchesProfileCounts) {
@@ -627,9 +624,6 @@ TEST(Region, RejectsBadSpecs) {
   RegionSpec zero = temperate_mixed_region();
   zero.total_locations = 0;
   EXPECT_THROW(RegionGenerator{zero}, std::invalid_argument);
-  RegionSpec bad_res = temperate_mixed_region();
-  bad_res.county_resolution = bad_res.resolution;
-  EXPECT_THROW(RegionGenerator{bad_res}, std::invalid_argument);
 }
 
 TEST(Region, TinyOutlineStillGenerates) {

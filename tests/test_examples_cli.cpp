@@ -218,6 +218,30 @@ INSTANTIATE_TEST_SUITE_P(
         MetricsCase{"ldsnap", "verify %DIR%/snap.ldsnap"}),
     [](const auto& test_info) { return std::string(test_info.param.binary); });
 
+// national_analysis accounts for its own report and JSON export: both
+// stages are spans, so `--metrics` lists them as timers.
+TEST(ExamplesCli, NationalAnalysisMetricsListReportAndJsonExport) {
+  using namespace leodivide;
+  const std::string binary = example_path("national_analysis");
+  if (!fs::exists(binary)) {
+    GTEST_SKIP() << binary << " not built";
+  }
+  const fs::path dir = fs::temp_directory_path() /
+                       ("leodivide_spans_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  const fs::path metrics = dir / "metrics.json";
+  fs::create_directories(dir);
+  const RunResult r = run_command(binary + " --metrics=" + metrics.string() +
+                                  " " + (dir / "out").string());
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const io::JsonValue doc =
+      io::json_parse(leodivide::testing::read_bytes(metrics.string()));
+  const io::JsonValue& timers = doc.at("timers");
+  EXPECT_NE(timers.find("core.render_report"), nullptr);
+  EXPECT_NE(timers.find("io.results_json"), nullptr);
+  fs::remove_all(dir);
+}
+
 // The full seed-42 pipeline, pinned byte for byte. The digests are those
 // of the stream and printf encoders, which the to_chars encoders must
 // match. A cold run and a `--snapshot-dir` warm rerun (profile and

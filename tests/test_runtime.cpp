@@ -379,7 +379,7 @@ TEST(PipelineDeterminism, GenerateExpandAggregateAcrossThreadCounts) {
   const auto dataset1 =
       gen.expand_locations(profile1, 1.0, runtime::serial_executor());
   const auto agg1 =
-      demand::aggregate(dataset1, grid, kSmallConfig.resolution,
+      demand::aggregate(dataset1, grid, hex::kServiceCellResolution,
                         runtime::serial_executor());
 
   for (std::size_t threads : {2UL, 8UL}) {
@@ -391,7 +391,7 @@ TEST(PipelineDeterminism, GenerateExpandAggregateAcrossThreadCounts) {
     EXPECT_EQ(dataset_bytes(dataset), dataset_bytes(dataset1))
         << "expand_locations at threads=" << threads;
     const auto agg =
-        demand::aggregate(dataset, grid, kSmallConfig.resolution, pool);
+        demand::aggregate(dataset, grid, hex::kServiceCellResolution, pool);
     EXPECT_EQ(profile_bytes(agg), profile_bytes(agg1))
         << "aggregate at threads=" << threads;
   }

@@ -244,9 +244,9 @@ TEST(ServeIncremental, BitEqualRequirementsBindTheSmallestIndex) {
   // cell must be cell 1, as in the serial scan.
   const hex::HexGrid grid;
   const serve::EngineConfig config{};
-  const auto children = [&grid, &config](const geo::GeoPoint& at) {
-    return grid.children_of(grid.cell_of(at, config.region_resolution),
-                            config.cell_resolution);
+  const auto children = [&grid](const geo::GeoPoint& at) {
+    return grid.children_of(grid.cell_of(at, serve::kRegionResolution),
+                            hex::kServiceCellResolution);
   };
   const std::vector<hex::CellId> a = children({40.0, -100.0});
   const std::vector<hex::CellId> b = children({40.0, -85.0});
@@ -263,7 +263,7 @@ TEST(ServeIncremental, BitEqualRequirementsBindTheSmallestIndex) {
   counties.add({"90001", {}, 50000.0, 0});
   const demand::DemandProfile profile(std::move(cells), std::move(counties));
   const auto region = [&](std::size_t i) {
-    return grid.parent_of(ids[i], config.region_resolution);
+    return grid.parent_of(ids[i], serve::kRegionResolution);
   };
   ASSERT_EQ(region(0), region(2));
   ASSERT_EQ(region(1), region(3));
@@ -341,6 +341,22 @@ TEST(ServeSession, HelloDescribesTheBaseline) {
   EXPECT_EQ(hello.cells, small_profile().cell_count());
   EXPECT_EQ(hello.protocol_version, serve::protocol::kProtocolVersion);
   EXPECT_FALSE(hello.paranoid);
+  EXPECT_EQ(hello.server, serve::kServerName);
+}
+
+TEST(ServeSession, AffordabilityWithoutThresholdUsesThePapersThreshold) {
+  serve::ServiceState state = make_state();
+  const auto ask = [&state](double threshold) {
+    const serve::protocol::Frame reply = state.handle(
+        {serve::protocol::MsgType::kQueryAffordability,
+         encode(serve::protocol::QueryAffordabilityRequest{
+             "Starlink Residential", threshold})});
+    EXPECT_EQ(reply.type, serve::protocol::MsgType::kAffordabilityResult);
+    return serve::protocol::decode_affordability_reply(reply.payload);
+  };
+  const serve::protocol::AffordabilityReply by_default = ask(0.0);
+  EXPECT_EQ(by_default, ask(afford::kAffordabilityThreshold));
+  EXPECT_FALSE(by_default == ask(2.0 * afford::kAffordabilityThreshold));
 }
 
 TEST(ServeSession, ApplyDeltaReportsDirtyRegionsAndJournals) {

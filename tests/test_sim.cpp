@@ -114,7 +114,7 @@ TEST(Scheduler, SingleOverheadSatelliteServesNearbyCells) {
     c.beams_needed = 1;
     cells.push_back(c);
   }
-  const BeamScheduler scheduler(cells, SchedulerConfig{24, 5, 25.0});
+  const BeamScheduler scheduler(cells, SchedulerConfig{5});
   orbit::SatState sat;
   sat.subpoint = {39.5, -98.0};
   sat.ecef_km =
@@ -137,7 +137,7 @@ TEST(Scheduler, BeamBudgetLimitsAssignments) {
     c.beams_needed = 1;
     cells.push_back(c);
   }
-  const BeamScheduler scheduler(cells, SchedulerConfig{24, 1, 25.0});
+  const BeamScheduler scheduler(cells, SchedulerConfig{1});
   orbit::SatState sat;
   sat.subpoint = {39.5, -98.0};
   sat.ecef_km =
@@ -165,7 +165,7 @@ TEST(Scheduler, MultiBeamCellsScheduledFirst) {
     c.beams_needed = 1;
     cells.push_back(c);
   }
-  const BeamScheduler scheduler(cells, SchedulerConfig{24, 1, 25.0});
+  const BeamScheduler scheduler(cells, SchedulerConfig{1});
   orbit::SatState sat;
   sat.subpoint = {39.0, -97.5};
   sat.ecef_km =
@@ -189,7 +189,7 @@ TEST(Scheduler, FarawaySatelliteServesNothing) {
       geo::spherical_to_cartesian(cells[0].center, geo::kEarthRadiusKm);
   cells[0].locations = 10;
   cells[0].beams_needed = 1;
-  const BeamScheduler scheduler(cells, SchedulerConfig{24, 5, 25.0});
+  const BeamScheduler scheduler(cells, SchedulerConfig{5});
   orbit::SatState sat;
   sat.subpoint = {-39.0, 98.0};
   sat.ecef_km =
@@ -321,7 +321,7 @@ TEST_P(StrategySweep, EveryStrategyServesTheEasyCase) {
     c.beams_needed = 1;
     cells.push_back(c);
   }
-  SchedulerConfig config{24, 5, 25.0, GetParam()};
+  SchedulerConfig config{5, GetParam()};
   const BeamScheduler scheduler(cells, config);
   orbit::SatState sat;
   sat.subpoint = {39.4, -98.0};
@@ -358,7 +358,7 @@ TEST(StrategyComparison, BestFitPacksTighterThanMostSlack) {
   const std::vector<orbit::SatState> sats{make_sat(-98.2), make_sat(-97.8)};
 
   auto distinct_sats = [&](Strategy strategy) {
-    SchedulerConfig config{24, 4, 25.0, strategy};
+    SchedulerConfig config{4, strategy};
     const BeamScheduler scheduler(cells, config);
     const auto r = scheduler.schedule(sats);
     std::set<std::uint32_t> used;
@@ -546,7 +546,7 @@ TEST(GatewayPlacement, SingleCandidateCoversSmallRegion) {
   const std::vector<geo::GeoPoint> candidates{{39.0, -98.0}};
   const geo::BoundingBox region{37.0, 41.0, -100.0, -96.0};
   const auto placement =
-      place_gateways(candidates, region, GatewayPlacementConfig{});
+      place_gateways(candidates, region);
   EXPECT_EQ(placement.sites.size(), 1U);
   EXPECT_EQ(placement.uncovered_samples, 0U);
 }
@@ -559,7 +559,7 @@ TEST(GatewayPlacement, GreedyPrefersCentralCandidates) {
       {39.0, -104.0}, {39.0, -98.0}, {39.0, -92.0}};
   const geo::BoundingBox region{37.0, 41.0, -103.0, -93.0};
   const auto placement =
-      place_gateways(candidates, region, GatewayPlacementConfig{});
+      place_gateways(candidates, region);
   ASSERT_GE(placement.sites.size(), 1U);
   EXPECT_NEAR(placement.sites.front().lon_deg, -98.0, 1e-9);
 }
@@ -571,7 +571,7 @@ TEST(GatewayPlacement, WideRegionNeedsMultipleSites) {
   }
   const geo::BoundingBox region{32.0, 46.0, -122.0, -70.0};
   const auto placement =
-      place_gateways(candidates, region, GatewayPlacementConfig{});
+      place_gateways(candidates, region);
   EXPECT_GT(placement.sites.size(), 3U);
   EXPECT_EQ(placement.uncovered_samples, 0U);
 }
@@ -581,20 +581,14 @@ TEST(GatewayPlacement, ReportsUnreachableSamples) {
   const std::vector<geo::GeoPoint> candidates{{45.0, -120.0}};
   const geo::BoundingBox region{25.0, 48.0, -124.0, -70.0};
   const auto placement =
-      place_gateways(candidates, region, GatewayPlacementConfig{});
+      place_gateways(candidates, region);
   EXPECT_EQ(placement.sites.size(), 1U);
   EXPECT_GT(placement.uncovered_samples, 0U);
 }
 
 TEST(GatewayPlacement, RejectsBadInputs) {
   const geo::BoundingBox region{37.0, 41.0, -100.0, -96.0};
-  EXPECT_THROW((void)place_gateways({}, region, GatewayPlacementConfig{}),
-               std::invalid_argument);
-  GatewayPlacementConfig bad;
-  bad.sample_spacing_deg = 0.0;
-  const std::vector<geo::GeoPoint> one{{39.0, -98.0}};
-  EXPECT_THROW((void)place_gateways(one, region, bad),
-               std::invalid_argument);
+  EXPECT_THROW((void)place_gateways({}, region), std::invalid_argument);
 }
 
 TEST(Qos, WholeBeamAndSharedCapacities) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "golden_hash.hpp"
+#include "leodivide/core/oversubscription.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/geo/angle.hpp"
 #include "leodivide/geo/ecef.hpp"
@@ -234,9 +235,9 @@ TEST(IndexedEquivalence, NationalScaleWithPolarAndDateLineCellsMatchesReference)
 
 TEST(IndexedEquivalence, WorkspaceReusedAcrossSchedulersMasksAndSizes) {
   // One workspace carried from scheduler to scheduler. A window depends on
-  // the cell list and the coverage angle psi (set by the elevation mask and
-  // the shell altitude), never on the satellites, so a new scheduler, mask
-  // or altitude must build new windows while a same-altitude change of
+  // the cell list and the coverage angle psi (set by the shell altitude at
+  // the terminal mask), never on the satellites, so a new scheduler or
+  // altitude must build new windows while a same-altitude change of
   // constellation size reuses them — and every schedule must equal the
   // naive reference.
   const bool was_enabled = obs::metrics_enabled();
@@ -245,13 +246,8 @@ TEST(IndexedEquivalence, WorkspaceReusedAcrossSchedulersMasksAndSizes) {
   stats::Pcg32 rng(4242);
   const auto cells_a = random_cells(rng, 300, -60.0, 60.0);
   const auto cells_b = random_cells(rng, 200, 20.0, 85.0);
-  SchedulerConfig mask25;
-  mask25.min_elevation_deg = 25.0;
-  SchedulerConfig mask40;
-  mask40.min_elevation_deg = 40.0;
-  const BeamScheduler a25(cells_a, mask25);
-  const BeamScheduler b25(cells_b, mask25);
-  const BeamScheduler a40(cells_a, mask40);
+  const BeamScheduler a(cells_a, SchedulerConfig{});
+  const BeamScheduler b(cells_b, SchedulerConfig{});
 
   const auto shell1 = orbit::propagate_all(
       orbit::make_constellation(orbit::starlink_shell1()), 600.0);
@@ -260,6 +256,8 @@ TEST(IndexedEquivalence, WorkspaceReusedAcrossSchedulersMasksAndSizes) {
                                            shell1.size() / 2));
   const auto higher = orbit::propagate_all(
       orbit::make_constellation({70.0, 800.0, 10, 9, 3}), 900.0);
+  const auto lower = orbit::propagate_all(
+      orbit::make_constellation({53.0, 340.0, 12, 10, 5}), 300.0);
 
   ScheduleWorkspace ws;
   ScheduleResult out;
@@ -270,14 +268,14 @@ TEST(IndexedEquivalence, WorkspaceReusedAcrossSchedulersMasksAndSizes) {
     EXPECT_TRUE(out == scheduler.schedule_reference(states));
     return builds.total() - before;
   };
-  EXPECT_EQ(builds_for(a25, shell1), 1U) << "first scheduler";
-  EXPECT_EQ(builds_for(b25, shell1), 1U) << "second scheduler";
-  EXPECT_EQ(builds_for(a25, shell1), 0U) << "first scheduler again";
-  EXPECT_EQ(builds_for(a40, shell1), 1U) << "higher elevation mask";
-  EXPECT_EQ(builds_for(a25, half), 0U) << "half the constellation";
-  EXPECT_EQ(builds_for(a25, higher), 1U) << "smaller, higher shell";
-  EXPECT_EQ(builds_for(a25, shell1), 0U) << "back to shell 1";
-  EXPECT_EQ(builds_for(a40, higher), 1U) << "higher shell, higher mask";
+  EXPECT_EQ(builds_for(a, shell1), 1U) << "first scheduler";
+  EXPECT_EQ(builds_for(b, shell1), 1U) << "second scheduler";
+  EXPECT_EQ(builds_for(a, shell1), 0U) << "first scheduler again";
+  EXPECT_EQ(builds_for(a, lower), 1U) << "lower shell";
+  EXPECT_EQ(builds_for(a, half), 0U) << "half the constellation";
+  EXPECT_EQ(builds_for(a, higher), 1U) << "smaller, higher shell";
+  EXPECT_EQ(builds_for(a, shell1), 0U) << "back to shell 1";
+  EXPECT_EQ(builds_for(b, lower), 1U) << "lower shell, second scheduler";
   obs::set_metrics_enabled(was_enabled);
 }
 
@@ -352,11 +350,10 @@ TEST(IndexedEquivalence, SchedulerBitIdenticalOnGrazingGeometry) {
     cells.push_back(c);
   }
   sim::SchedulerConfig config;
-  config.min_elevation_deg = 25.0;
 
   std::vector<orbit::SatState> sats;
   // A ring of satellites at small angular offsets from each cell, spanning
-  // both sides of the visibility cone boundary for the configured mask.
+  // both sides of the visibility cone boundary for the terminal mask.
   for (const sim::SchedCell& c : cells) {
     for (const double off_deg : {0.0, 5.0, 10.0, 14.9, 15.0, 15.1, 20.0}) {
       orbit::SatState s;
@@ -442,7 +439,7 @@ TEST(TraceInvariance, IdenticalAcrossThreadCountsAndEqualToReference) {
   // epoch with schedule_reference and summarize.
   const BeamScheduler scheduler(
       BeamScheduler::cells_from_profile(profile, core::SatelliteCapacityModel(),
-                                        config.oversub_target),
+                                        core::kFccOversubscriptionCap),
       config.scheduler);
   const auto orbits = orbit::make_constellation(config.shell);
   const SimClock clock(config.duration_s, config.step_s);

@@ -608,23 +608,6 @@ TEST(Fingerprints, ConfigFieldsChangeTheDigest) {
   EXPECT_NE(fa.digest(), fc.digest());
 }
 
-TEST(Fingerprints, EventConfigFieldsChangeTheDigest) {
-  const event::EventConfig base;
-  snapshot::Fingerprint fa = snapshot::stage_fingerprint("sim.event");
-  snapshot::mix(fa, base);
-
-  event::EventConfig tweaked;
-  tweaked.guard_s = base.guard_s * 2.0;
-  snapshot::Fingerprint fb = snapshot::stage_fingerprint("sim.event");
-  snapshot::mix(fb, tweaked);
-  EXPECT_NE(fa.digest(), fb.digest());
-
-  event::EventConfig again;
-  snapshot::Fingerprint fc = snapshot::stage_fingerprint("sim.event");
-  snapshot::mix(fc, again);
-  EXPECT_EQ(fa.digest(), fc.digest());
-}
-
 TEST(Fingerprints, MarketConfigFieldsChangeTheDigest) {
   market::MarketConfig base;
   base.operators = market::default_market();

@@ -14,15 +14,10 @@ which overrides the file-level default for that case alone — tighter gates
 where the baseline has margin, looser ones where it is close.
 
 Cases are matched to harness lines by every non-timing field (everything
-except ``speedup``, ``median_speedup``, ``min_speedup`` and fields ending
-in ``_ms``), so new bench kinds work without touching this script.
-Absolute milliseconds are compared against the recorded baseline
-informationally only (CI runners and dev machines differ); the best-of
-speedup ratio is what must hold.  Harnesses may also report a
-``median_speedup`` (median-of-runs rather than best-of) — it is printed as
-a robustness diagnostic next to the gated best-of ratio, never gated
-itself: best-of is the stable low-noise estimator, the median shows how
-far a typical run sits from it.
+except ``speedup``, ``min_speedup`` and fields ending in ``_ms``), so new
+bench kinds work without touching this script.  Absolute milliseconds are
+compared against the recorded baseline informationally only (CI runners
+and dev machines differ); the best-of speedup ratio is what must hold.
 
 Exits nonzero if any baseline case is missing from the output, fails its
 speedup gate, or if a baseline is malformed (no ``bench``/``min_speedup``,
@@ -33,7 +28,7 @@ pass).
 import json
 import sys
 
-TIMING_KEYS = ("speedup", "median_speedup", "min_speedup")
+TIMING_KEYS = ("speedup", "min_speedup")
 
 
 def case_key(fields):
@@ -106,15 +101,6 @@ def check_baseline(path, baseline, results):
             f"(gate >= {min_speedup:.1f}x {source}, "
             f"baseline {case['speedup']:.2f}x)"
         )
-        if "median_speedup" in rec:
-            median = float(rec["median_speedup"])
-            note = ""
-            if "median_speedup" in case:
-                note = f", baseline {float(case['median_speedup']):.2f}x"
-            print(
-                f"  info: median_speedup {median:.2f}x vs gated best-of "
-                f"{speedup:.2f}x{note} (informational)"
-            )
         for field in sorted(case):
             if field.endswith("_ms") and field in rec:
                 drift = float(rec[field]) / float(case[field])
